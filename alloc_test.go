@@ -24,8 +24,9 @@ const (
 	// baseline before group commit measured ~8.3).
 	allocBudgetPerIngestedLine = 6.0
 	// allocBudgetPerMatch bounds allocations per uncached Matcher.Match
-	// call (currently 4: replaced line, token slice, and match scratch).
-	allocBudgetPerMatch = 8
+	// call (currently 1–2: the token slice, plus the masked line when a
+	// variable was replaced; the template text is cached in the index).
+	allocBudgetPerMatch = 3
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -130,6 +131,32 @@ func TestAllocBudget(t *testing.T) {
 		t.Logf("frame decode: %.2f allocs per 32-line frame (budget 0)", perFrame)
 		if perFrame > 0 {
 			t.Fatalf("frame decode allocates: %.2f allocs/frame exceeds budget 0", perFrame)
+		}
+	})
+
+	// Variable masking runs on every uncached line: a line without a
+	// variable must come back as is, and one with variables costs
+	// exactly the masked copy. Exact, like the frame-decode budget.
+	t.Run("vars", func(t *testing.T) {
+		r := bytebrain.DefaultVariableRules()
+		for _, tc := range []struct {
+			line   string
+			budget float64
+		}{
+			{"jk2_init() Can't find child in scoreboard, workerEnv in error state", 0},
+			{"081109 203615 148 INFO dfs.DataNode$PacketResponder: PacketResponder 1 for block blk_38865049064139660 terminating", 0},
+			{"081109 20:35:18 INFO dfs.DataNode$DataXceiver: Receiving block blk_-1608999687919862906 src: /10.250.19.102:54106 dest: /10.250.19.102:50010", 1},
+			{"- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 2005-06-03-15.42.50.363779 R02-M1-N0-C:J12-U11 RAS KERNEL INFO instruction cache parity error corrected at 0x0b85eee0", 1},
+		} {
+			masked := r.ReplaceTokenSafe(tc.line)
+			if (masked != tc.line) != (tc.budget > 0) {
+				t.Fatalf("fixture drifted: %q masks to %q", tc.line, masked)
+			}
+			got := testing.AllocsPerRun(1000, func() { r.ReplaceTokenSafe(tc.line) })
+			t.Logf("vars: %.2f allocs (budget %.0f) for %q", got, tc.budget, tc.line)
+			if got > tc.budget {
+				t.Fatalf("variable masking allocates: %.2f allocs/line exceeds budget %.0f on %q", got, tc.budget, tc.line)
+			}
 		}
 	})
 

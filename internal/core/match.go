@@ -34,9 +34,8 @@ type Matcher struct {
 	model  *Model // trained model; read-only while the Matcher serves it
 
 	// Immutable trained index, built once by NewMatcher.
-	order  map[uint64]int // node ID → global match priority (lower first)
 	index  map[int]*lenBucket
-	linear []*Node // LinearMatch: all trained candidates in order
+	linear []*indexed // LinearMatch: all trained candidates in order
 
 	// Temporary-template overlay. Trained templates always outrank
 	// temporaries (they were inserted first), so the overlay is only
@@ -53,12 +52,23 @@ type Matcher struct {
 // collides with a trained ID.
 type tempOverlay struct {
 	mu     sync.RWMutex
-	order  map[uint64]int
-	next   int
 	index  map[int]*lenBucket
-	linear []*Node
+	linear []*indexed // insertion order
 	byID   map[uint64]*Node
 	nextID uint64 // temporary IDs continue the model's ID space
+}
+
+// indexed is one match candidate: a node, its match priority within its
+// index (lower first), and its template text — rendered once, when the
+// candidate enters the index, so that a match does not join tokens.
+type indexed struct {
+	node *Node
+	rank int
+	text string
+}
+
+func newIndexed(n *Node, rank int) *indexed {
+	return &indexed{node: n, rank: rank, text: n.Text()}
 }
 
 // snapshotIDHeadroom is added to NextID when SnapshotModel hands the
@@ -70,7 +80,6 @@ const snapshotIDHeadroom = 1 << 32
 
 func newTempOverlay(nextID uint64) *tempOverlay {
 	return &tempOverlay{
-		order:  make(map[uint64]int),
 		index:  make(map[int]*lenBucket),
 		byID:   make(map[uint64]*Node),
 		nextID: nextID,
@@ -79,23 +88,25 @@ func newTempOverlay(nextID uint64) *tempOverlay {
 
 // lenBucket indexes the candidates of one token count by first token.
 type lenBucket struct {
-	byFirst   map[string][]*Node // first token constant
-	wildFirst []*Node            // first token is the wildcard
+	byFirst   map[string][]*indexed // first token constant
+	wildFirst []*indexed            // first token is the wildcard
 }
 
-// insert appends n to the bucket for its token count.
-func insertBucket(index map[int]*lenBucket, n *Node) {
-	lb := index[len(n.Template)]
+// insertBucket appends c to the bucket for its token count. Candidates
+// must arrive in rank order.
+func insertBucket(index map[int]*lenBucket, c *indexed) {
+	tmpl := c.node.Template
+	lb := index[len(tmpl)]
 	if lb == nil {
-		lb = &lenBucket{byFirst: make(map[string][]*Node)}
-		index[len(n.Template)] = lb
+		lb = &lenBucket{byFirst: make(map[string][]*indexed)}
+		index[len(tmpl)] = lb
 	}
 	// Empty templates and wildcard-first templates have no usable first
 	// token; both live in the always-scanned list.
-	if len(n.Template) == 0 || n.Template[0] == Wildcard {
-		lb.wildFirst = append(lb.wildFirst, n)
+	if len(tmpl) == 0 || tmpl[0] == Wildcard {
+		lb.wildFirst = append(lb.wildFirst, c)
 	} else {
-		lb.byFirst[n.Template[0]] = append(lb.byFirst[n.Template[0]], n)
+		lb.byFirst[tmpl[0]] = append(lb.byFirst[tmpl[0]], c)
 	}
 }
 
@@ -120,7 +131,6 @@ func (p *Parser) NewMatcherFrom(model *Model, prev *Matcher) (*Matcher, error) {
 	m := &Matcher{
 		parser: p,
 		model:  model,
-		order:  make(map[uint64]int, model.Len()),
 		index:  make(map[int]*lenBucket),
 	}
 	if prev != nil {
@@ -144,10 +154,10 @@ func (p *Parser) NewMatcherFrom(model *Model, prev *Matcher) (*Matcher, error) {
 		}
 		return nodes[i].ID < nodes[j].ID
 	})
+	m.linear = make([]*indexed, len(nodes))
 	for i, n := range nodes {
-		m.order[n.ID] = i
-		m.linear = append(m.linear, n)
-		insertBucket(m.index, n)
+		m.linear[i] = newIndexed(n, i)
+		insertBucket(m.index, m.linear[i])
 	}
 	return m, nil
 }
@@ -167,36 +177,37 @@ func (m *Matcher) Match(line string) MatchResult {
 // MatchTokens matches an already-preprocessed token sequence.
 func (m *Matcher) MatchTokens(tokens []string) MatchResult {
 	// Trained index first: immutable, so no lock at all.
-	if n := lookupIn(m.index, m.order, m.linear, tokens, m.parser.opts.LinearMatch); n != nil {
-		return MatchResult{NodeID: n.ID, Template: n.Text()}
+	linearMatch := m.parser.opts.LinearMatch
+	if c := lookupIn(m.index, m.linear, tokens, linearMatch); c != nil {
+		return MatchResult{NodeID: c.node.ID, Template: c.text}
 	}
 
 	o := m.tmp
 	o.mu.RLock()
-	n := lookupIn(o.index, o.order, o.linear, tokens, m.parser.opts.LinearMatch)
+	c := lookupIn(o.index, o.linear, tokens, linearMatch)
 	o.mu.RUnlock()
-	if n != nil {
-		return MatchResult{NodeID: n.ID, Template: n.Text()}
+	if c != nil {
+		return MatchResult{NodeID: c.node.ID, Template: c.text}
 	}
 
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	// Re-check: another goroutine may have inserted the same template.
-	if n := lookupIn(o.index, o.order, o.linear, tokens, m.parser.opts.LinearMatch); n != nil {
-		return MatchResult{NodeID: n.ID, Template: n.Text()}
+	if c := lookupIn(o.index, o.linear, tokens, linearMatch); c != nil {
+		return MatchResult{NodeID: c.node.ID, Template: c.text}
 	}
-	node := o.insertLocked(tokens)
-	return MatchResult{NodeID: node.ID, Template: node.Text(), New: true}
+	c = o.insertLocked(tokens)
+	return MatchResult{NodeID: c.node.ID, Template: c.text, New: true}
 }
 
-// lookupIn returns the highest-priority matching node from one index, or
-// nil. Safe without a lock when the index is immutable; overlay callers
-// must hold mu (read or write).
-func lookupIn(index map[int]*lenBucket, order map[uint64]int, linear []*Node, tokens []string, linearMatch bool) *Node {
+// lookupIn returns the highest-priority matching candidate from one
+// index, or nil. Safe without a lock when the index is immutable; overlay
+// callers must hold mu (read or write).
+func lookupIn(index map[int]*lenBucket, linear []*indexed, tokens []string, linearMatch bool) *indexed {
 	if linearMatch {
-		for _, n := range linear {
-			if len(n.Template) == len(tokens) && templateMatches(n.Template, tokens) {
-				return n
+		for _, c := range linear {
+			if templateMatches(c.node.Template, tokens) {
+				return c
 			}
 		}
 		return nil
@@ -205,7 +216,7 @@ func lookupIn(index map[int]*lenBucket, order map[uint64]int, linear []*Node, to
 	if lb == nil {
 		return nil
 	}
-	var exact []*Node
+	var exact []*indexed
 	if len(tokens) > 0 {
 		exact = lb.byFirst[tokens[0]]
 	}
@@ -213,19 +224,19 @@ func lookupIn(index map[int]*lenBucket, order map[uint64]int, linear []*Node, to
 	// Merge the two priority-sorted candidate lists.
 	i, j := 0, 0
 	for i < len(exact) || j < len(wild) {
-		var n *Node
+		var c *indexed
 		switch {
 		case i >= len(exact):
-			n, j = wild[j], j+1
+			c, j = wild[j], j+1
 		case j >= len(wild):
-			n, i = exact[i], i+1
-		case order[exact[i].ID] < order[wild[j].ID]:
-			n, i = exact[i], i+1
+			c, i = exact[i], i+1
+		case exact[i].rank < wild[j].rank:
+			c, i = exact[i], i+1
 		default:
-			n, j = wild[j], j+1
+			c, j = wild[j], j+1
 		}
-		if templateMatches(n.Template, tokens) {
-			return n
+		if templateMatches(c.node.Template, tokens) {
+			return c
 		}
 	}
 	return nil
@@ -240,7 +251,7 @@ func lookupIn(index map[int]*lenBucket, order map[uint64]int, linear []*Node, to
 // model is NOT touched; temporary IDs continue the model's ID space and
 // stay below the snapshotIDHeadroom band a concurrent training cycle
 // allocates from, so the two sides never mint the same ID.
-func (o *tempOverlay) insertLocked(tokens []string) *Node {
+func (o *tempOverlay) insertLocked(tokens []string) *indexed {
 	tmpl := make([]string, len(tokens))
 	copy(tmpl, tokens)
 	n := &Node{
@@ -253,12 +264,11 @@ func (o *tempOverlay) insertLocked(tokens []string) *Node {
 		Temporary:  true,
 	}
 	o.nextID++
-	o.order[n.ID] = o.next
-	o.next++
-	o.linear = append(o.linear, n)
+	c := newIndexed(n, len(o.linear))
+	o.linear = append(o.linear, c)
 	o.byID[n.ID] = n
-	insertBucket(o.index, n)
-	return n
+	insertBucket(o.index, c)
+	return c
 }
 
 // pruneAbsorbed drops overlay entries the new model now covers (as live
@@ -268,23 +278,18 @@ func (o *tempOverlay) pruneAbsorbed(model *Model) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	kept := o.linear[:0]
-	for _, n := range o.linear {
-		if _, ok := model.Nodes[model.Resolve(n.ID)]; ok {
+	o.byID = make(map[uint64]*Node)
+	o.index = make(map[int]*lenBucket)
+	for _, c := range o.linear {
+		if _, ok := model.Nodes[model.Resolve(c.node.ID)]; ok {
 			continue
 		}
-		kept = append(kept, n)
+		c.rank = len(kept)
+		kept = append(kept, c)
+		o.byID[c.node.ID] = c.node
+		insertBucket(o.index, c)
 	}
 	o.linear = kept
-	o.order = make(map[uint64]int, len(kept))
-	o.byID = make(map[uint64]*Node, len(kept))
-	o.index = make(map[int]*lenBucket)
-	o.next = 0
-	for _, n := range kept {
-		o.order[n.ID] = o.next
-		o.next++
-		o.byID[n.ID] = n
-		insertBucket(o.index, n)
-	}
 	if model.NextID > o.nextID {
 		o.nextID = model.NextID
 	}
@@ -331,7 +336,9 @@ func (m *Matcher) Temporaries() []*Node {
 	m.tmp.mu.RLock()
 	defer m.tmp.mu.RUnlock()
 	out := make([]*Node, len(m.tmp.linear))
-	copy(out, m.tmp.linear)
+	for i, c := range m.tmp.linear {
+		out[i] = c.node
+	}
 	return out
 }
 
@@ -358,8 +365,8 @@ func (m *Matcher) SnapshotModel() *Model {
 	for id, n := range m.model.Nodes {
 		out.Nodes[id] = n
 	}
-	for _, n := range m.tmp.linear {
-		out.Nodes[n.ID] = n
+	for _, c := range m.tmp.linear {
+		out.Nodes[c.node.ID] = c.node
 	}
 	out.reindex()
 	return out

@@ -43,9 +43,9 @@ func (p *Parser) Train(lines []string) (*TrainResult, error) {
 		return &TrainResult{Model: NewModel()}, nil
 	}
 
-	// Deduplicate raw lines before preprocessing: the regex-based
-	// variable replacement is the most expensive stage, and real streams
-	// repeat heavily (§4.1.3), so it should run once per distinct line.
+	// Deduplicate raw lines before preprocessing: real streams repeat
+	// heavily (§4.1.3), so variable replacement and tokenization should
+	// run once per distinct line.
 	// A second dedup pass after replacement merges lines that differed
 	// only in replaced variables.
 	rawLines := lines

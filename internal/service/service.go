@@ -212,7 +212,7 @@ type modelSnapshot struct {
 	// deduplication. Real streams repeat raw lines heavily (§4.1.3,
 	// Fig. 4: duplication dominates; it is the largest factor in the
 	// paper's efficiency ablation), and matching is deterministic within
-	// one matcher generation, so a repeat can skip the regex/tokenize/
+	// one matcher generation, so a repeat can skip the mask/tokenize/
 	// lookup pipeline entirely. The cache dies with the snapshot at every
 	// model swap, which keeps it coherent with overlay pruning for free.
 	//

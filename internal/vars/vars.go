@@ -6,14 +6,14 @@
 // universe, increases duplication (Fig. 4), and removes noise the clustering
 // would otherwise have to discover per position.
 //
-// A Replacer applies an ordered rule list. The default rule set mirrors the
-// per-topic defaults the paper describes; callers add domain-specific rules
-// per topic with Add.
+// The built-in rule set mirrors the per-topic defaults the paper describes
+// and is recognised by hand-written byte scanners (scan.go); callers add
+// domain-specific regular-expression rules per topic with Add.
 package vars
 
 import (
+	"fmt"
 	"regexp"
-	"strings"
 )
 
 // Wildcard is the placeholder substituted for matched variables. It is the
@@ -29,73 +29,33 @@ const Wildcard = "<*>"
 // back to Wildcard (see CanonicalizeTokens).
 const Sentinel = "\x01"
 
-// Rule is a single named replacement pattern.
-type Rule struct {
-	// Name identifies the rule (e.g. "ipv4") in diagnostics.
-	Name string
-	// Pattern matches the variable occurrences to replace.
-	Pattern *regexp.Regexp
-	// req, when non-zero, is a byte every match of Pattern necessarily
-	// contains (':' for clock times, '-' for UUIDs, …): a line without it
-	// skips the regex entirely. A one-byte IndexByte scan is orders of
-	// magnitude cheaper than the backtracking engine, and on the hot
-	// ingestion path the regex bank dominates the per-line CPU profile.
-	req byte
-}
-
-// Replacer applies an ordered list of rules to log lines. It is safe for
-// concurrent use after construction.
+// Replacer applies the built-in rules (when constructed by Default) and
+// then any custom rules, in the order they were added, to log lines. It is
+// safe for concurrent use after construction.
 type Replacer struct {
-	rules []Rule
-	// digitGated marks rule sets whose every pattern requires a digit,
-	// enabling a cheap whole-line prefilter.
-	digitGated bool
-}
-
-// NewReplacer returns a Replacer with the given rules, applied in order.
-func NewReplacer(rules ...Rule) *Replacer {
-	return &Replacer{rules: rules}
+	builtins bool
+	custom   []*regexp.Regexp
 }
 
 // Default returns the paper's default rule set: timestamps, IP addresses
-// (with optional port), MD5/SHA-style hex digests, UUIDs, and 0x-prefixed
-// hex literals.
-func Default() *Replacer {
-	r := NewReplacer(DefaultRules()...)
-	r.digitGated = true
-	return r
-}
+// (with optional port), MD5/SHA-style hex digests, UUIDs, MAC addresses and
+// 0x-prefixed hex literals.
+func Default() *Replacer { return &Replacer{builtins: true} }
 
 // None returns a Replacer that performs no substitutions. Useful for
 // ablations that measure the value of variable replacement (Fig. 4).
 func None() *Replacer { return &Replacer{} }
 
-// DefaultRules returns copies of the built-in rules in application order.
-// Order matters: longer, more specific patterns run first so that e.g. a
-// UUID is not half-eaten by the hex rule.
-func DefaultRules() []Rule {
-	return []Rule{
-		{"iso-timestamp", regexp.MustCompile(`\b\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}(?:[.,]\d+)?(?:Z|[+-]\d{2}:?\d{2})?\b`), '-'},
-		{"slash-date-time", regexp.MustCompile(`\b\d{2,4}[/.]\d{2}[/.]\d{2,4}[ T]\d{2}:\d{2}:\d{2}\b`), ':'},
-		{"clock-time", regexp.MustCompile(`\b\d{2}:\d{2}:\d{2}(?:[.,]\d+)?\b`), ':'},
-		{"uuid", regexp.MustCompile(`\b[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}\b`), '-'},
-		{"ipv6", regexp.MustCompile(`\b(?:[0-9a-fA-F]{1,4}:){3,7}[0-9a-fA-F]{1,4}\b`), ':'},
-		{"ipv4-port", regexp.MustCompile(`\b(?:\d{1,3}\.){3}\d{1,3}(?::\d{1,5})?\b`), '.'},
-		// Every byte of a long-hex match may be a hex letter or digit, so
-		// no single byte is required; the digit prefilter still gates it.
-		{"long-hex", regexp.MustCompile(`\b(?:0x[0-9a-fA-F]+|[0-9a-fA-F]{32,64})\b`), 0},
-		{"mac-address", regexp.MustCompile(`\b(?:[0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}\b`), ':'},
-	}
-}
-
 // Add appends a domain-specific rule compiled from pattern and returns the
-// receiver for chaining. It panics if pattern does not compile; topic
-// configuration is static, so a bad pattern is a programming error.
-// Custom rules may match digit-free text, so the digit prefilter is
-// disabled.
+// receiver for chaining. Custom rules run after the built-ins, on their
+// output. It panics if pattern does not compile; topic configuration is
+// static, so a bad pattern is a programming error.
 func (r *Replacer) Add(name, pattern string) *Replacer {
-	r.rules = append(r.rules, Rule{Name: name, Pattern: regexp.MustCompile(pattern)})
-	r.digitGated = false
+	re, err := regexp.Compile(pattern)
+	if err != nil {
+		panic(fmt.Sprintf("vars: rule %q: %v", name, err))
+	}
+	r.custom = append(r.custom, re)
 	return r
 }
 
@@ -109,34 +69,19 @@ func (r *Replacer) Replace(line string) string { return r.replace(line, Wildcard
 func (r *Replacer) ReplaceTokenSafe(line string) string { return r.replace(line, Sentinel) }
 
 func (r *Replacer) replace(line, placeholder string) string {
-	if r == nil || len(r.rules) == 0 {
+	if r == nil {
 		return line
 	}
-	if r.digitGated && !hasASCIIDigit(line) {
-		// Every built-in rule requires at least one digit (an all-letter
-		// hex digest is astronomically unlikely); skip the regex bank
-		// entirely for the common pure-text line.
-		return line
+	if r.builtins {
+		line = scanBuiltins(line, placeholder)
 	}
-	for _, rule := range r.rules {
-		if rule.req != 0 && strings.IndexByte(line, rule.req) < 0 {
-			// A byte every match must contain is absent; skip the regex.
-			continue
-		}
-		if rule.Pattern.MatchString(line) {
-			line = rule.Pattern.ReplaceAllString(line, placeholder)
+	for _, re := range r.custom {
+		// ReplaceAllString copies the line even when nothing matches.
+		if re.MatchString(line) {
+			line = re.ReplaceAllString(line, placeholder)
 		}
 	}
 	return line
-}
-
-func hasASCIIDigit(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= '0' && s[i] <= '9' {
-			return true
-		}
-	}
-	return false
 }
 
 // CanonicalizeTokens rewrites, in place, every token containing Sentinel to
@@ -154,11 +99,4 @@ func CanonicalizeTokens(tokens []string) []string {
 		}
 	}
 	return tokens
-}
-
-// Rules returns the replacement rules in application order.
-func (r *Replacer) Rules() []Rule {
-	out := make([]Rule, len(r.rules))
-	copy(out, r.rules)
-	return out
 }
