@@ -294,74 +294,33 @@ func BenchmarkIngestAllocs(b *testing.B) {
 	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "logs/s")
 }
 
-// BenchmarkShardedIngest measures raw append throughput into a sharded
-// topic store with queue→shard affinity — the write-side counterpart of
-// BenchmarkConcurrentIngest, which plateaus on the single store mutex.
-// A fixed worker pool appends in parallel; with shards=1 every worker
-// contends on one mutex, with more shards each mutex serves
-// workers/shards writers, so throughput should scale with shard count on
-// a multi-core runner (~2x or better at 4 shards vs 1).
-func BenchmarkShardedIngest(b *testing.B) {
-	recs := segmentBenchRecords(b, "Zookeeper")
-	// At least 4 workers even on small runners so the shards=1 case is
-	// genuinely contended; capped at 8 so the comparison stays stable on
-	// very wide machines.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
+// benchBatches cuts recs into AppendBatch-shaped batches of up to size
+// records, built outside the timed loops: the store benchmarks measure
+// the store, not batch assembly.
+func benchBatches(recs []segment.Record, size int) [][]logstore.BatchRecord {
+	batches := make([][]logstore.BatchRecord, 0, (len(recs)+size-1)/size)
+	for lo := 0; lo < len(recs); lo += size {
+		hi := min(lo+size, len(recs))
+		batch := make([]logstore.BatchRecord, hi-lo)
+		for j, r := range recs[lo:hi] {
+			batch[j] = logstore.BatchRecord{Raw: r.Raw, TemplateID: r.TemplateID}
+		}
+		batches = append(batches, batch)
 	}
-	if workers > 8 {
-		workers = 8
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			if shards > workers {
-				// With fewer writers than shards the run would silently
-				// measure only `workers` shards under an 8-shard label.
-				b.Skipf("only %d workers; a %d-shard run would not use them all", workers, shards)
-			}
-			store, err := logstore.OpenSharded("bench", logstore.ShardConfig{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				iters := b.N / workers
-				if w < b.N%workers {
-					iters++
-				}
-				wg.Add(1)
-				go func(w, iters int) {
-					defer wg.Done()
-					shard := w % shards
-					for i := 0; i < iters; i++ {
-						r := recs[i%len(recs)]
-						if _, err := store.AppendShard(shard, r.Time, r.Raw, r.TemplateID); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w, iters)
-			}
-			wg.Wait()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "logs/s")
-		})
-	}
+	return batches
 }
 
-// BenchmarkShardedIngestBatch is BenchmarkShardedIngest through the
-// group-commit path: each worker appends 256-record batches to its
-// pinned shard via AppendShardBatch, so a batch pays one store lock and
-// one offset check instead of 256. One benchmark op is one RECORD (a
-// batch lands every 256 iterations), so ns/op and logs/s compare
-// directly against the per-record benchmark above at the same -benchtime
-// count — both store exactly b.N records.
+// BenchmarkShardedIngestBatch measures raw append throughput into a
+// sharded topic store with queue→shard affinity — the write-side
+// counterpart of BenchmarkConcurrentIngest, which plateaus on the single
+// store mutex. A fixed worker pool appends 256-record batches to pinned
+// shards via AppendShardBatch; with shards=1 every worker contends on one
+// mutex, with more shards each mutex serves workers/shards writers, so
+// throughput should scale with shard count on a multi-core runner. One
+// benchmark op is one RECORD (a batch lands every 256 iterations), so
+// exactly b.N records are stored.
 func BenchmarkShardedIngestBatch(b *testing.B) {
-	recs := segmentBenchRecords(b, "Zookeeper")
-	const batchSize = 256
+	batches := benchBatches(segmentBenchRecords(b, "Zookeeper"), 256)
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -379,21 +338,6 @@ func BenchmarkShardedIngestBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer store.Close()
-			// Pre-build the batches outside the timed loop; the benchmark
-			// measures the store, not batch assembly.
-			batches := make([][]logstore.BatchRecord, (len(recs)+batchSize-1)/batchSize)
-			for i := range batches {
-				lo := i * batchSize
-				hi := lo + batchSize
-				if hi > len(recs) {
-					hi = len(recs)
-				}
-				batch := make([]logstore.BatchRecord, hi-lo)
-				for j, r := range recs[lo:hi] {
-					batch[j] = logstore.BatchRecord{Raw: r.Raw, TemplateID: r.TemplateID}
-				}
-				batches[i] = batch
-			}
 			base := time.Unix(1700000000, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -766,9 +710,11 @@ func BenchmarkSegmentDecode(b *testing.B) {
 }
 
 // BenchmarkCompactingIngest measures append throughput through the
-// hybrid store while the background compactor seals segments.
+// hybrid store while the background compactor seals segments. One op is
+// one record, landed in 256-record batches.
 func BenchmarkCompactingIngest(b *testing.B) {
-	recs := segmentBenchRecords(b, "Zookeeper")
+	batches := benchBatches(segmentBenchRecords(b, "Zookeeper"), 256)
+	base := time.Unix(1700000000, 0)
 	store, err := logstore.OpenCompacting("bench", logstore.CompactConfig{
 		SegmentBytes: 1 << 20, Codec: segment.CodecFlate,
 	})
@@ -778,11 +724,15 @@ func BenchmarkCompactingIngest(b *testing.B) {
 	defer store.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%len(recs)]
-		if _, err := store.Append(r.Time, r.Raw, r.TemplateID); err != nil {
+	for done, bi := 0, 0; done < b.N; bi++ {
+		batch := batches[bi%len(batches)]
+		if n := b.N - done; len(batch) > n {
+			batch = batch[:n]
+		}
+		if _, err := store.AppendBatch(base, batch); err != nil {
 			b.Fatal(err)
 		}
+		done += len(batch)
 	}
 	store.WaitIdle()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "logs/s")
@@ -799,8 +749,8 @@ func BenchmarkCompactingByTemplate(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	for _, r := range recs {
-		if _, err := store.Append(r.Time, r.Raw, r.TemplateID); err != nil {
+	for _, batch := range benchBatches(recs, 256) {
+		if _, err := store.AppendBatch(recs[0].Time, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -811,7 +761,7 @@ func BenchmarkCompactingByTemplate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := store.ByTemplate(uint64(1 + i%5)); len(got) == 0 {
+		if got := store.ByTemplateRange(logstore.TimeRange{}, uint64(1+i%5)); len(got) == 0 {
 			b.Fatal("no offsets")
 		}
 	}

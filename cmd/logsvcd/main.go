@@ -41,8 +41,8 @@ func main() {
 		threshold    = flag.Float64("threshold", 0.7, "default query threshold")
 		parallel     = flag.Int("parallel", 4, "parser worker count")
 		seed         = flag.Int64("seed", 1, "clustering seed")
-		dataDir      = flag.String("data-dir", "", "persist topics (records + model snapshots) under this directory; empty = in-memory")
-		segmentBytes = flag.Int64("segment-bytes", 0, "enable the compacting segment store: seal hot blocks of this raw size into compressed columnar segments (0 = disabled)")
+		dataDir      = flag.String("data-dir", "", "persist topics (compacting segment store + model snapshots) under this directory; empty = in-memory")
+		segmentBytes = flag.Int64("segment-bytes", 0, "seal hot blocks of this raw size into compressed columnar segments (0 = default 4 MiB when -data-dir is set; in-memory otherwise)")
 		segmentCodec = flag.String("segment-codec", "flate", "sealed-segment payload codec: flate or none")
 		topicShards  = flag.Int("topic-shards", 1, "fan each topic's store out over this many shards with queue affinity so appends scale with cores (1 = single store; a persisted topic's shard count must not shrink)")
 		ingestQueues = flag.Int("ingest-queues", 4, "worker queues per async ingestion pipeline (POST /topics/{name}/logs?async=1)")
@@ -57,12 +57,10 @@ func main() {
 		ingestAddr   = flag.String("ingest-addr", "", "serve the streaming TCP ingest protocol (framed/raw, see README wire-protocol spec) on this address (empty = disabled)")
 	)
 	flag.Parse()
-	if *segmentBytes > 0 {
-		// Fail fast on a bad codec instead of 500ing every topic
-		// creation at request time.
-		if _, err := segment.ParseCodec(*segmentCodec); err != nil {
-			log.Fatalf("logsvcd: -segment-codec: %v", err)
-		}
+	// Fail fast on a bad codec instead of 500ing every topic creation at
+	// request time.
+	if _, err := segment.ParseCodec(*segmentCodec); err != nil {
+		log.Fatalf("logsvcd: -segment-codec: %v", err)
 	}
 
 	svc := bytebrain.NewService(bytebrain.ServiceConfig{

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -68,6 +69,12 @@ const (
 	sealedSuffix = ".bbsg"
 	walPrefix    = "wal-"
 	walSuffix    = ".log"
+	// legacyPrefix/legacySuffix name the record files of the retired
+	// plain disk store (segment-NNNNNN.log). Nothing writes them any
+	// more; open paths recognise them only to refuse the directory
+	// instead of hiding its records behind fresh offsets.
+	legacyPrefix = "segment-"
+	legacySuffix = ".log"
 )
 
 // CompactingStore is the hybrid topic store: hot writes land in an
@@ -199,8 +206,8 @@ func (s *CompactingStore) flushLoop() {
 }
 
 // maybeFsyncLocked is the count half of the WAL fsync policy: after every
-// FsyncEveryBatches successful WAL commits (an Append counts as one), the
-// live hot WAL is synced inline.
+// FsyncEveryBatches successful WAL commits, the live hot WAL is synced
+// inline.
 func (s *CompactingStore) maybeFsyncLocked() {
 	if s.cfg.Opts.FsyncEveryBatches <= 0 {
 		return
@@ -247,12 +254,11 @@ func (s *CompactingStore) recover() error {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(n, segmentPrefix) && strings.HasSuffix(n, segmentSuffix):
-			// A DiskTopic record file: this directory was persisted by
-			// the plain disk store (SegmentBytes unset). Silently
-			// ignoring it would hide all those records behind fresh
-			// offsets — refuse instead of losing data.
-			return fmt.Errorf("logstore: compacting open %s: found plain disk-topic file %s; this topic was persisted without the segment store (unset SegmentBytes, or use a fresh data dir)", s.cfg.Dir, n)
+		case strings.HasPrefix(n, legacyPrefix) && strings.HasSuffix(n, legacySuffix):
+			// A record file of the retired plain disk store (DiskTopic).
+			// Silently ignoring it would hide all those records behind
+			// fresh offsets — refuse instead of losing data.
+			return fmt.Errorf("logstore: compacting open %s: found legacy disk-topic file %s; this build no longer reads that format (re-ingest the topic into a fresh data dir, or open it with a release that still has the plain disk store)", s.cfg.Dir, n)
 		case strings.HasSuffix(n, segment.TmpSuffix):
 			// Torn segment write from a crash; the WAL still has the data.
 			if err := s.fs.Remove(filepath.Join(s.cfg.Dir, n)); err != nil {
@@ -372,68 +378,22 @@ func (s *CompactingStore) startHotLocked() error {
 	return nil
 }
 
-// Append implements Store.
-func (s *CompactingStore) Append(ts time.Time, raw string, templateID uint64) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errors.New("logstore: compacting store closed")
-	}
-	if s.degraded {
-		return 0, fmt.Errorf("logstore: append %s: %w (cause: %v)", s.name, ErrDegraded, s.degradedErr)
-	}
-	b := s.blocks[len(s.blocks)-1]
-	if b.hot == nil || b.sealing {
-		// A failed rotation path can leave the tail block without a live
-		// hot target; restore the invariant instead of panicking.
-		if err := s.startHotLocked(); err != nil {
-			return 0, err
-		}
-		b = s.blocks[len(s.blocks)-1]
-	}
-	// WAL first: if the durability write fails, the record is not
-	// admitted to the in-memory index either, so a caller retry cannot
-	// create a phantom duplicate. The failure leaves a torn record at
-	// the WAL tail, and replay truncates everything from the tear on —
-	// so the block must never write another byte to this WAL, or later
-	// admitted records would be silently discarded on recovery.
-	// poisonRotateLocked retires the block (sealing rebuilds durability
-	// from memory) and subsequent appends land in a fresh WAL.
-	if b.wal != nil {
-		if err := b.wal.append(ts, raw, templateID); err != nil {
-			s.poisonRotateLocked(b)
-			if isDiskFull(err) {
-				s.setDegradedLocked(err)
-			}
-			return 0, fmt.Errorf("logstore: wal append: %w", err)
-		}
-		s.walDirty = true
-	}
-	off := b.first + b.hot.Append(ts, raw, templateID)
-	if b.hot.Bytes() >= s.cfg.SegmentBytes {
-		// Only hand the block to the sealer once its successor exists;
-		// if rotation fails the block simply keeps absorbing appends
-		// (correct, just uncompacted) and the error is surfaced via
-		// SealError rather than failing an append that already landed.
-		if err := s.startHotLocked(); err != nil {
-			s.sealErr = err
-		} else {
-			b.sealing = true
-			s.kickSealer()
-		}
-	}
-	s.maybeFsyncLocked()
-	return off, nil
-}
-
 // AppendBatch implements Store: the batch lands under ONE store-lock
 // acquisition with ONE WAL poison check per block it touches, its records
 // encoded back-to-back into the WAL's buffered writer (group commit).
-// Block rotation is handled mid-batch at exactly the boundaries the
-// equivalent Append sequence would produce, so the WAL files and block
-// layout are byte-identical to the per-record path. A WAL failure poisons
-// and rotates exactly as in Append: the fully-written prefix of the batch
-// is admitted (and later sealed from memory), the rest fails.
+// A block rotates mid-batch right after the record whose bytes push it
+// over the seal threshold, so the WAL files and block layout depend only
+// on the record sequence, never on how callers partition it into batches.
+//
+// WAL first: if the durability write fails, the failing record is not
+// admitted to the in-memory index either, so a caller retry cannot create
+// a phantom duplicate. The failure leaves a torn record at the WAL tail,
+// and replay truncates everything from the tear on — so the block must
+// never write another byte to this WAL, or later admitted records would be
+// silently discarded on recovery. poisonRotateLocked retires the block
+// (sealing rebuilds durability from memory; the fully-written prefix of
+// the batch is admitted, the rest fails) and subsequent appends land in a
+// fresh WAL.
 func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -449,6 +409,8 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 	s.m.BatchRecords.Observe(int64(len(recs)))
 	b := s.blocks[len(s.blocks)-1]
 	if b.hot == nil || b.sealing {
+		// A failed rotation path can leave the tail block without a live
+		// hot target; restore the invariant instead of panicking.
 		if err := s.startHotLocked(); err != nil {
 			return 0, err
 		}
@@ -457,8 +419,7 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 	first := b.first + int64(b.hot.Len())
 	for i := 0; i < len(recs); {
 		// Chunk: records that fit the current block, up to and including
-		// the one whose bytes push it over the seal threshold — the same
-		// boundary the per-record path rotates at.
+		// the one whose bytes push it over the seal threshold.
 		bytes := b.hot.Bytes()
 		j := i
 		for j < len(recs) {
@@ -487,9 +448,10 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 		}
 		i = j
 		if b.hot.Bytes() >= s.cfg.SegmentBytes {
-			// Rotate mid-batch; on rotation failure keep absorbing into
-			// the same block (correct, just uncompacted) and surface the
-			// error via SealError, exactly like Append.
+			// Only hand the block to the sealer once its successor exists;
+			// if rotation fails the block simply keeps absorbing appends
+			// (correct, just uncompacted) and the error is surfaced via
+			// SealError rather than failing an append that already landed.
 			if err := s.startHotLocked(); err != nil {
 				s.sealErr = err
 			} else {
@@ -1000,33 +962,10 @@ func (s *CompactingStore) Bytes() int64 {
 	return n
 }
 
-// Get implements Store.
-func (s *CompactingStore) Get(offset int64) (Record, error) {
-	for _, b := range s.snapshot() {
-		if offset < b.first || offset >= b.last() {
-			continue
-		}
-		if b.seg != nil {
-			rec, err := b.seg.Get(offset)
-			if err != nil {
-				return Record{}, err
-			}
-			return Record{Offset: rec.Offset, Time: rec.Time, Raw: rec.Raw, TemplateID: rec.TemplateID}, nil
-		}
-		r, err := b.hot.Get(offset - b.first)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Offset = offset
-		return r, nil
-	}
-	return Record{}, fmt.Errorf("logstore: offset %d out of range [0,%d)", offset, s.Len())
-}
-
 // GetBatch implements Store. Offsets are grouped per block first, so a
 // sealed block touched by many offsets pays exactly one payload
-// decompression instead of one per offset (Get decodes per call) — the
-// win the query sample-fetch path exists for.
+// decompression instead of one per offset — the win the query
+// sample-fetch path exists for.
 func (s *CompactingStore) GetBatch(offsets []int64) ([]Record, error) {
 	if len(offsets) == 0 {
 		return nil, nil
@@ -1055,13 +994,17 @@ func (s *CompactingStore) GetBatch(offsets []int64) ([]Record, error) {
 			}
 			continue
 		}
-		for _, pos := range positions {
-			r, err := b.hot.Get(offsets[pos] - b.first)
-			if err != nil {
-				return nil, err
-			}
-			r.Offset = offsets[pos]
-			out[pos] = r
+		local := make([]int64, len(positions))
+		for i, pos := range positions {
+			local[i] = offsets[pos] - b.first
+		}
+		recs, err := b.hot.GetBatch(local)
+		if err != nil {
+			return nil, err
+		}
+		for i, pos := range positions {
+			recs[i].Offset = offsets[pos]
+			out[pos] = recs[i]
 		}
 	}
 	return out, nil
@@ -1130,16 +1073,10 @@ func (s *CompactingStore) Scan(from, to int64, tr TimeRange, fn func(Record) boo
 	}
 }
 
-// ByTemplate implements Store. Sealed blocks whose metadata lacks every
-// queried template are skipped without decompression.
-func (s *CompactingStore) ByTemplate(ids ...uint64) []int64 {
-	return s.ByTemplateRange(TimeRange{}, ids...)
-}
-
 // ByTemplateRange implements Store. Sealed blocks prune on metadata
 // alone when no queried template is present, when the block's time
-// bounds miss tr, or when every queried template's own time bounds (v3
-// segments) miss it; only surviving blocks decompress.
+// bounds miss tr, or when every queried template's own time bounds miss
+// it; only surviving blocks decompress.
 func (s *CompactingStore) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
 	var out []int64
 	if tr.Empty() {
@@ -1156,7 +1093,7 @@ func (s *CompactingStore) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
 			}
 			if !any {
 				// Metadata rules every queried template out: counted here,
-				// never decompressed (ByTemplate's own fast path).
+				// never decompressed.
 				s.m.BlocksPruned.Inc()
 				continue
 			}
@@ -1261,12 +1198,6 @@ func (s *CompactingStore) TemplateCounts(tr TimeRange) map[uint64]int {
 	return out
 }
 
-// Search implements Store. Sealed blocks screen through their bloom
-// filter first.
-func (s *CompactingStore) Search(token string) []int64 {
-	return s.SearchRange(token, TimeRange{})
-}
-
 // SearchRange implements Store. Sealed blocks prune on metadata alone
 // when the bloom filter rules the token out or the block's time bounds
 // miss tr; only surviving blocks decompress.
@@ -1284,7 +1215,7 @@ func (s *CompactingStore) SearchRange(token string, tr TimeRange) []int64 {
 			}
 			if !decoded {
 				// Bloom screen or time-bound prune: counted here, never
-				// decompressed (Search's own fast path).
+				// decompressed.
 				s.m.BlocksPruned.Inc()
 				continue
 			}
@@ -1296,30 +1227,6 @@ func (s *CompactingStore) SearchRange(token string, tr TimeRange) []int64 {
 		}
 	}
 	return out
-}
-
-// CountSince implements Store, using segment time-range metadata for the
-// all-in / all-out blocks.
-func (s *CompactingStore) CountSince(cut time.Time) int {
-	n := 0
-	for _, b := range s.snapshot() {
-		if b.seg != nil {
-			if !b.seg.MinTime().Before(cut) || b.seg.MaxTime().Before(cut) {
-				// All-in / all-out by metadata time bounds: CountSince
-				// answers without decompressing.
-				s.m.BlocksPruned.Inc()
-			}
-			c, err := b.seg.CountSince(cut)
-			if err != nil {
-				s.noteErr(err)
-				continue
-			}
-			n += c
-			continue
-		}
-		n += b.hot.CountSince(cut)
-	}
-	return n
 }
 
 // SegmentStats reports the compression state of the store.
@@ -1438,8 +1345,8 @@ type walSink interface {
 	Flush() error
 }
 
-// walWriter appends length-prefixed records (the DiskTopic record format)
-// to one block's write-ahead log. Its own mutex serializes the sealer's
+// walWriter appends length-prefixed records to one block's write-ahead
+// log. Its own mutex serializes the sealer's
 // flush against appends/flushes made under the store lock.
 //
 // A failed append leaves a torn record at the logical tail of the stream
@@ -1447,7 +1354,7 @@ type walSink interface {
 // it would be silently discarded by replay's torn-tail truncation, so the
 // writer poisons itself on the first error: every later append fails fast
 // and no further bytes ever reach the file. The store reacts by rotating
-// to a fresh WAL and sealing this block from memory (see Append).
+// to a fresh WAL and sealing this block from memory (see AppendBatch).
 type walWriter struct {
 	path string
 	m    *Metrics // never nil; instruments fsyncs and admitted records
@@ -1478,34 +1385,11 @@ func openWAL(fsys fsx.FS, path string, m *Metrics) (*walWriter, error) {
 	return &walWriter{path: path, m: m, f: f, w: bufio.NewWriterSize(f, 128<<10)}, nil
 }
 
-func (w *walWriter) append(ts time.Time, raw string, templateID uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return fmt.Errorf("logstore: wal %s poisoned by earlier failure: %w", filepath.Base(w.path), w.err)
-	}
-	var hdr [recordOverhead]byte
-	putRecordHeader(hdr[:], ts, templateID, len(raw))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.w.WriteString(raw); err != nil {
-		w.err = err
-		return err
-	}
-	w.m.WALAppendRecords.Inc()
-	w.m.WALAppendBytes.Add(int64(recordOverhead + len(raw)))
-	return nil
-}
-
 // appendBatch writes a batch of records back-to-back into the buffered
 // writer under one lock acquisition and one poison check — the WAL half
 // of group commit. It returns how many records were fully written; on a
 // mid-record failure the writer poisons itself (the tail is torn) and the
-// failing record plus everything after it is reported unwritten. The
-// bytes produced are identical to len(recs) sequential append calls, so
-// batch-written WALs replay with the unchanged reader.
+// failing record plus everything after it is reported unwritten.
 func (w *walWriter) appendBatch(ts time.Time, recs []BatchRecord) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1548,7 +1432,7 @@ func (w *walWriter) poisoned() bool {
 }
 
 // poison marks the writer failed (a no-op when it already is), so a
-// durability failure observed outside append — a policy fsync — also
+// durability failure observed outside appendBatch — a policy fsync — also
 // stops all further bytes to the file.
 func (w *walWriter) poison(err error) {
 	w.mu.Lock()
@@ -1595,8 +1479,50 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
+// recordOverhead is the WAL record header size: time + templateID + rawLen.
+const recordOverhead = 8 + 8 + 4
+
+var errTornRecord = errors.New("logstore: torn record")
+
+// putRecordHeader fills the length-prefixed WAL record header; readRecord
+// inverts it.
+func putRecordHeader(hdr []byte, ts time.Time, templateID uint64, rawLen int) {
+	binary.LittleEndian.PutUint64(hdr[0:8], uint64(ts.UnixNano()))
+	binary.LittleEndian.PutUint64(hdr[8:16], templateID)
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(rawLen))
+}
+
+// readRecord reads one length-prefixed record: 8-byte unix-nano time,
+// 8-byte template ID, 4-byte raw length, raw bytes.
+func readRecord(r *bufio.Reader) (Record, int64, error) {
+	var hdr [recordOverhead]byte
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+		if err == io.EOF {
+			return Record{}, 0, io.EOF
+		}
+		return Record{}, 0, errTornRecord
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		return Record{}, 0, errTornRecord
+	}
+	ts := int64(binary.LittleEndian.Uint64(hdr[0:8]))
+	tmpl := binary.LittleEndian.Uint64(hdr[8:16])
+	rawLen := binary.LittleEndian.Uint32(hdr[16:20])
+	if rawLen > 64<<20 {
+		return Record{}, 0, fmt.Errorf("logstore: implausible record length %d", rawLen)
+	}
+	raw := make([]byte, rawLen)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return Record{}, 0, errTornRecord
+	}
+	return Record{Time: time.Unix(0, ts), Raw: string(raw), TemplateID: tmpl},
+		int64(recordOverhead) + int64(rawLen), nil
+}
+
 // replayWAL loads a write-ahead log into a Topic, truncating a torn tail
-// (the crash case) like DiskTopic replay does.
+// (the crash case). The topic stays locked for the whole replay: records
+// carry their own timestamps, so they go in one by one, and recovery is
+// the only party that can reach the topic yet.
 func replayWAL(fsys fsx.FS, path string, into *Topic, m *Metrics) error {
 	if m == nil {
 		m = &Metrics{}
@@ -1606,6 +1532,8 @@ func replayWAL(fsys fsx.FS, path string, into *Topic, m *Metrics) error {
 		return fmt.Errorf("logstore: replay wal %s: %w", path, err)
 	}
 	defer f.Close()
+	into.mu.Lock()
+	defer into.mu.Unlock()
 	r := bufio.NewReader(f)
 	var goodBytes int64
 	var recovered int64
@@ -1623,7 +1551,7 @@ func replayWAL(fsys fsx.FS, path string, into *Topic, m *Metrics) error {
 			}
 			return fmt.Errorf("logstore: replay wal %s at %d: %w", path, goodBytes, err)
 		}
-		into.Append(rec.Time, rec.Raw, rec.TemplateID)
+		into.appendLocked(rec.Time, rec.Raw, rec.TemplateID)
 		recovered++
 		goodBytes += n
 	}

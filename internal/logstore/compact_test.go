@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func fillCompacting(t *testing.T, s *CompactingStore, n, start int) {
 	for i := start; i < start+n; i++ {
 		raw := fmt.Sprintf("worker %d finished job job-%d in 12ms", i%7, i)
 		tmpl := uint64(1 + i%3)
-		off, err := s.Append(ts(i), raw, tmpl)
+		off, err := appendOne(s, ts(i), raw, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestCompactingStoreRoundTrip(t *testing.T) {
 
 			// Every record readable across the sealed/hot boundary.
 			for _, i := range []int64{0, 1, 250, 498, 499} {
-				r, err := s.Get(i)
+				r, err := getOne(s, i)
 				if err != nil {
 					t.Fatalf("Get(%d): %v", i, err)
 				}
@@ -81,7 +82,7 @@ func TestCompactingStoreRoundTrip(t *testing.T) {
 			}
 
 			// Template query: exact counts and ascending offsets.
-			offs := s.ByTemplate(2)
+			offs := s.ByTemplateRange(TimeRange{}, 2)
 			if len(offs) != 167 {
 				t.Fatalf("ByTemplate(2) = %d offsets", len(offs))
 			}
@@ -96,13 +97,13 @@ func TestCompactingStoreRoundTrip(t *testing.T) {
 			}
 
 			// Token search across sealed + hot.
-			hits := s.Search("job-123")
+			hits := s.SearchRange("job-123", TimeRange{})
 			if len(hits) != 1 || hits[0] != 123 {
 				t.Fatalf("Search(job-123) = %v", hits)
 			}
 
 			// Time pushdown.
-			if n := s.CountSince(ts(400)); n != 100 {
+			if n := countSince(s, ts(400)); n != 100 {
 				t.Fatalf("CountSince = %d, want 100", n)
 			}
 		})
@@ -123,7 +124,7 @@ func TestCompactingTemplatePushdown(t *testing.T) {
 	for seg := 0; seg < 3; seg++ {
 		tmpl := uint64(10 * (seg + 1))
 		for i := 0; i < 200; i++ {
-			if _, err := s.Append(ts(off), fmt.Sprintf("segment %d line %d", seg, i), tmpl); err != nil {
+			if _, err := appendOne(s, ts(off), fmt.Sprintf("segment %d line %d", seg, i), tmpl); err != nil {
 				t.Fatal(err)
 			}
 			off++
@@ -137,7 +138,7 @@ func TestCompactingTemplatePushdown(t *testing.T) {
 		t.Fatalf("setup: %+v", st)
 	}
 
-	offs := s.ByTemplate(20)
+	offs := s.ByTemplateRange(TimeRange{}, 20)
 	if len(offs) != 200 || offs[0] != 200 {
 		t.Fatalf("ByTemplate(20): %d offsets starting %d", len(offs), offs[0])
 	}
@@ -147,7 +148,7 @@ func TestCompactingTemplatePushdown(t *testing.T) {
 	}
 
 	// Absent template: zero additional reads.
-	if offs := s.ByTemplate(77); len(offs) != 0 {
+	if offs := s.ByTemplateRange(TimeRange{}, 77); len(offs) != 0 {
 		t.Fatalf("ByTemplate(77) = %v", offs)
 	}
 	if st := s.SegmentStats(); st.BlockReads != 1 {
@@ -194,12 +195,12 @@ func TestCompactingReopen(t *testing.T) {
 	if st.HotRecords == 0 {
 		t.Fatal("hot tail not resumed as live block")
 	}
-	r, err := s2.Get(399)
+	r, err := getOne(s2, 399)
 	if err != nil || r.Raw != "worker 0 finished job job-399 in 12ms" {
 		t.Fatalf("Get(399) = %+v, %v", r, err)
 	}
 	// Appends continue with dense offsets.
-	off, err := s2.Append(ts(400), "after restart", 9)
+	off, err := appendOne(s2, ts(400), "after restart", 9)
 	if err != nil || off != 400 {
 		t.Fatalf("Append after reopen: %d, %v", off, err)
 	}
@@ -256,7 +257,7 @@ func TestCompactingCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered %d records, want 337", s2.Len())
 	}
 	for _, i := range []int64{0, 299, 300, 336} {
-		r, err := s2.Get(i)
+		r, err := getOne(s2, i)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
@@ -287,7 +288,7 @@ func TestCompactingCrashRecovery(t *testing.T) {
 	if len(wals) != 1 {
 		t.Fatalf("WALs left after recovery re-seal: %v", wals)
 	}
-	if n := s2.CountSince(ts(330)); n != 7 {
+	if n := countSince(s2, ts(330)); n != 7 {
 		t.Fatalf("CountSince after recovery = %d, want 7", n)
 	}
 }
@@ -304,16 +305,16 @@ func TestCompactingConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 3000; i++ {
-			if _, err := s.Append(ts(i), fmt.Sprintf("req %d handled path=/api/%d", i, i%50), uint64(1+i%5)); err != nil {
+			if _, err := appendOne(s, ts(i), fmt.Sprintf("req %d handled path=/api/%d", i, i%50), uint64(1+i%5)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	for {
-		s.ByTemplate(3)
+		s.ByTemplateRange(TimeRange{}, 3)
 		s.TemplateCounts(TimeRange{})
-		s.Search("handled")
+		s.SearchRange("handled", TimeRange{})
 		s.Len()
 		s.Bytes()
 		select {
@@ -322,7 +323,7 @@ func TestCompactingConcurrent(t *testing.T) {
 			if s.Len() != 3000 {
 				t.Fatalf("Len = %d, want 3000", s.Len())
 			}
-			if got := len(s.ByTemplate(2)); got != 600 {
+			if got := len(s.ByTemplateRange(TimeRange{}, 2)); got != 600 {
 				t.Fatalf("ByTemplate(2) = %d, want 600", got)
 			}
 			return
@@ -359,7 +360,7 @@ func TestCompactingBadSegmentFallsBackToWAL(t *testing.T) {
 	if s2.Len() != 100 {
 		t.Fatalf("recovered %d records, want 100 from WAL", s2.Len())
 	}
-	if r, err := s2.Get(42); err != nil || r.Raw != "worker 0 finished job job-42 in 12ms" {
+	if r, err := getOne(s2, 42); err != nil || r.Raw != "worker 0 finished job job-42 in 12ms" {
 		t.Fatalf("Get(42) = %+v, %v", r, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, sealedPrefix+"000000"+sealedSuffix+".bad")); err != nil {
@@ -367,41 +368,66 @@ func TestCompactingBadSegmentFallsBackToWAL(t *testing.T) {
 	}
 }
 
-// TestStoreFormatMismatchRefused: pointing one store format at the
-// other's directory must fail loudly instead of hiding records.
-func TestStoreFormatMismatchRefused(t *testing.T) {
-	// Plain disk topic dir opened as compacting store.
-	diskDir := t.TempDir()
-	dt, err := OpenDiskTopic(diskDir)
-	if err != nil {
+// writeLegacyRecordFile fabricates what the retired plain disk store
+// (DiskTopic) left behind: a segment-000000.log holding one
+// length-prefixed record.
+func writeLegacyRecordFile(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dt.Append(ts(0), "a record", 1); err != nil {
+	const raw = "a record from the retired disk store"
+	var hdr [recordOverhead]byte
+	putRecordHeader(hdr[:], ts(0), 1, len(raw))
+	if err := os.WriteFile(filepath.Join(dir, "segment-000000.log"), append(hdr[:], raw...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := dt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCompacting("t", CompactConfig{Dir: diskDir}); err == nil {
-		t.Fatal("OpenCompacting on a DiskTopic dir must refuse")
-	}
+}
 
-	// Compacting dir opened as plain disk topic.
-	segDir := t.TempDir()
-	cs, err := OpenCompacting("t", CompactConfig{Dir: segDir, SegmentBytes: 1 << 30, Codec: segment.CodecFlate})
-	if err != nil {
-		t.Fatal(err)
+// TestLegacyDiskTopicDirRefused: a directory persisted by the retired
+// plain disk store must be refused by every way of opening it — never
+// silently opened empty, hiding its records behind fresh offsets — and
+// the message must not advise a configuration that no longer exists.
+func TestLegacyDiskTopicDirRefused(t *testing.T) {
+	cases := map[string]func(dir string) (Store, error){
+		"OpenCompacting": func(dir string) (Store, error) {
+			writeLegacyRecordFile(t, dir)
+			return OpenCompacting("t", CompactConfig{Dir: dir})
+		},
+		"OpenStore/data-dir-only": func(dir string) (Store, error) {
+			writeLegacyRecordFile(t, dir)
+			return OpenStore("t", dir, 0, segment.CodecFlate, StoreOptions{})
+		},
+		"OpenStore/segment-bytes": func(dir string) (Store, error) {
+			writeLegacyRecordFile(t, dir)
+			return OpenStore("t", dir, 1<<20, segment.CodecFlate, StoreOptions{})
+		},
+		// A sharded disk-topic layout kept its record files inside the
+		// shard directories.
+		"OpenSharded/inside-shard-dir": func(dir string) (Store, error) {
+			writeLegacyRecordFile(t, shardDir(dir, 1))
+			return OpenSharded("t", ShardConfig{Shards: 2, Dir: dir})
+		},
+		// An unsharded disk-topic dir opened sharded trips the layout guard.
+		"OpenSharded/top-level": func(dir string) (Store, error) {
+			writeLegacyRecordFile(t, dir)
+			return OpenSharded("t", ShardConfig{Shards: 2, Dir: dir})
+		},
 	}
-	fillCompacting(t, cs, 10, 0)
-	if err := cs.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	cs.WaitIdle()
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDiskTopic(segDir); err == nil {
-		t.Fatal("OpenDiskTopic on a compacting dir must refuse")
+	for name, open := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := open(t.TempDir())
+			if err == nil {
+				s.Close()
+				t.Fatal("a legacy disk-topic directory was opened instead of refused")
+			}
+			if !strings.Contains(err.Error(), "segment-000000.log") {
+				t.Errorf("refusal does not name the offending file: %v", err)
+			}
+			if strings.Contains(err.Error(), "unset SegmentBytes") {
+				t.Errorf("refusal advises a configuration that no longer exists: %v", err)
+			}
+		})
 	}
 }
 
@@ -413,7 +439,7 @@ func TestCompactingAppendAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(time.Now(), "x", 1); err == nil {
+	if _, err := appendOne(s, time.Now(), "x", 1); err == nil {
 		t.Fatal("Append after Close should fail")
 	}
 	if err := s.Close(); err != nil {

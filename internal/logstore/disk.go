@@ -1,11 +1,7 @@
 package logstore
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,446 +11,6 @@ import (
 
 	"bytebrain/internal/fsx"
 )
-
-// Store is the record-storage interface the service writes through. Topic
-// (in-memory) and DiskTopic (persistent) both implement it.
-type Store interface {
-	// Append stores a record and returns its offset.
-	Append(ts time.Time, raw string, templateID uint64) (int64, error)
-	// AppendBatch group-commits a batch of records, all stamped with the
-	// same timestamp, and returns the offset assigned to the first
-	// record. It is the ingestion hot path: one lock acquisition, one
-	// durability write and one index extension per batch instead of one
-	// per record, with internal rotation (disk segments, hot blocks)
-	// handled mid-batch. The store does not retain recs after the call.
-	// On error a prefix of the batch may have been admitted and the
-	// remainder was not — except on a sharded store routing across
-	// shards, where each shard admits a prefix of ITS sub-batch, so the
-	// surviving records may interleave with lost ones (see
-	// ShardedStore.AppendBatch). An empty batch is a no-op returning
-	// (0, nil).
-	AppendBatch(ts time.Time, recs []BatchRecord) (int64, error)
-	// Len returns the record count.
-	Len() int
-	// Bytes returns the total raw payload size.
-	Bytes() int64
-	// Get returns the record at offset.
-	Get(offset int64) (Record, error)
-	// GetBatch returns the records at offsets, in input order — the
-	// offset-dense sample-fetch path. Stores that decode sealed blocks
-	// group the offsets so each touched block is decoded once, not once
-	// per offset. Any out-of-range offset fails the whole call.
-	GetBatch(offsets []int64) ([]Record, error)
-	// Scan visits records in [from, to) whose timestamp lies in tr until
-	// fn returns false; to < 0 means end, the zero TimeRange visits all.
-	Scan(from, to int64, tr TimeRange, fn func(Record) bool)
-	// ByTemplate returns offsets of records with any of the template
-	// IDs, ascending.
-	ByTemplate(ids ...uint64) []int64
-	// TemplateCounts returns record counts per template ID for records
-	// in tr (zero range = everything).
-	TemplateCounts(tr TimeRange) map[uint64]int
-	// GroupedCounts returns per-template record counts plus up to
-	// maxSamples example offsets each for records in tr, served from
-	// indexes and sealed metadata without reading record payloads where
-	// the range allows — the grouped-query pushdown path. Sealed blocks
-	// outside tr are pruned by metadata time bounds; only blocks the
-	// range straddles are decompressed, and within them only templates
-	// whose own time bounds straddle the boundary.
-	GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup
-	// Search returns offsets of records containing the exact token.
-	Search(token string) []int64
-	// SearchRange is Search bounded to records whose timestamp lies in
-	// tr (zero range = everything). Sealed blocks outside tr are pruned
-	// by metadata time bounds before the token filter runs.
-	SearchRange(token string, tr TimeRange) []int64
-	// ByTemplateRange is ByTemplate bounded to records whose timestamp
-	// lies in tr (zero range = everything), with the same sealed-block
-	// time pruning as SearchRange.
-	ByTemplateRange(tr TimeRange, ids ...uint64) []int64
-	// CountSince counts records at or after cut.
-	CountSince(cut time.Time) int
-	// Close releases resources; further Appends fail.
-	Close() error
-}
-
-var (
-	_ Store = (*memStore)(nil)
-	_ Store = (*DiskTopic)(nil)
-)
-
-// memStore adapts Topic to the Store interface.
-type memStore struct{ *Topic }
-
-// NewStore returns an in-memory Store.
-func NewStore(name string) Store { return memStore{NewTopic(name)} }
-
-// Append implements Store.
-func (m memStore) Append(ts time.Time, raw string, templateID uint64) (int64, error) {
-	return m.Topic.Append(ts, raw, templateID), nil
-}
-
-// AppendBatch implements Store.
-func (m memStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
-	return m.Topic.AppendBatch(ts, recs), nil
-}
-
-// Close implements Store.
-func (m memStore) Close() error { return nil }
-
-// DiskTopic is a persistent Store: records append to length-prefixed
-// segment files under a directory and are indexed in memory; Open replays
-// the segments (tolerating a truncated tail from a crash) to recover.
-type DiskTopic struct {
-	dir string
-	fs  fsx.FS
-
-	mu      sync.Mutex
-	mem     *Topic // authoritative in-memory indexes
-	seg     fsx.File
-	segW    *bufio.Writer
-	segIdx  int
-	segLen  int64
-	closed  bool
-	maxSeg  int64
-	scratch []byte
-}
-
-const (
-	segmentPrefix  = "segment-"
-	segmentSuffix  = ".log"
-	defaultMaxSeg  = 64 << 20  // rotate at 64 MiB
-	recordOverhead = 8 + 8 + 4 // time + templateID + rawLen
-)
-
-// OpenDiskTopic opens (or creates) the persistent topic stored in dir,
-// replaying existing segments. A torn final record — the crash case — is
-// truncated away.
-func OpenDiskTopic(dir string) (*DiskTopic, error) {
-	return OpenDiskTopicFS(fsx.OS(), dir)
-}
-
-// OpenDiskTopicFS is OpenDiskTopic over an explicit filesystem seam.
-func OpenDiskTopicFS(fsys fsx.FS, dir string) (*DiskTopic, error) {
-	fsys = fsx.OrOS(fsys)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("logstore: open %s: %w", dir, err)
-	}
-	t := &DiskTopic{
-		dir:    dir,
-		fs:     fsys,
-		mem:    NewTopic(filepath.Base(dir)),
-		maxSeg: defaultMaxSeg,
-	}
-	segs, err := t.segmentFiles()
-	if err != nil {
-		return nil, err
-	}
-	for i, path := range segs {
-		last := i == len(segs)-1
-		if err := t.replaySegment(path, last); err != nil {
-			return nil, err
-		}
-	}
-	if len(segs) > 0 {
-		t.segIdx = len(segs) - 1
-	}
-	if err := t.openSegmentLocked(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (t *DiskTopic) segmentFiles() ([]string, error) {
-	entries, err := t.fs.ReadDir(t.dir)
-	if err != nil {
-		return nil, fmt.Errorf("logstore: list %s: %w", t.dir, err)
-	}
-	var segs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			if strings.HasPrefix(name, shardDirPrefix) {
-				// Shard subdirectories: this topic was persisted sharded
-				// (TopicShards > 1); opening it unsharded would hide
-				// every sharded record — refuse instead.
-				return nil, fmt.Errorf("logstore: open %s: found shard directory %s; this topic was persisted sharded (restore the shard count, or use a fresh data dir)", t.dir, name)
-			}
-			continue
-		}
-		if (strings.HasPrefix(name, sealedPrefix) && strings.HasSuffix(name, sealedSuffix)) ||
-			(strings.HasPrefix(name, walPrefix) && strings.HasSuffix(name, walSuffix)) {
-			// Compacting-store files (sealed segment or write-ahead
-			// log): this topic was persisted with SegmentBytes set.
-			// Opening it as a plain disk topic would hide those
-			// records — refuse instead.
-			return nil, fmt.Errorf("logstore: open %s: found compacting-store file %s; this topic was persisted with the segment store (set SegmentBytes, or use a fresh data dir)", t.dir, name)
-		}
-		if strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix) {
-			segs = append(segs, filepath.Join(t.dir, name))
-		}
-	}
-	sort.Strings(segs)
-	return segs, nil
-}
-
-// replaySegment loads one segment into the in-memory indexes. When
-// tolerateTail is true, a truncated final record is cut off (crash
-// recovery); anywhere else it is corruption.
-func (t *DiskTopic) replaySegment(path string, tolerateTail bool) error {
-	f, err := t.fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("logstore: replay %s: %w", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var goodBytes int64
-	for {
-		rec, n, err := readRecord(r)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if tolerateTail && errors.Is(err, errTornRecord) {
-				// Crash mid-append: truncate the torn tail.
-				return t.fs.Truncate(path, goodBytes)
-			}
-			return fmt.Errorf("logstore: replay %s at %d: %w", path, goodBytes, err)
-		}
-		t.mem.Append(rec.Time, rec.Raw, rec.TemplateID)
-		goodBytes += n
-	}
-}
-
-var errTornRecord = errors.New("logstore: torn record")
-
-// putRecordHeader fills the length-prefixed record header shared by
-// DiskTopic segments and compacting-store WALs; readRecord inverts it.
-func putRecordHeader(hdr []byte, ts time.Time, templateID uint64, rawLen int) {
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(ts.UnixNano()))
-	binary.LittleEndian.PutUint64(hdr[8:16], templateID)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(rawLen))
-}
-
-// readRecord reads one length-prefixed record: 8-byte unix-nano time,
-// 8-byte template ID, 4-byte raw length, raw bytes.
-func readRecord(r *bufio.Reader) (Record, int64, error) {
-	var hdr [recordOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return Record{}, 0, io.EOF
-		}
-		return Record{}, 0, errTornRecord
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Record{}, 0, errTornRecord
-	}
-	ts := int64(binary.LittleEndian.Uint64(hdr[0:8]))
-	tmpl := binary.LittleEndian.Uint64(hdr[8:16])
-	rawLen := binary.LittleEndian.Uint32(hdr[16:20])
-	if rawLen > 64<<20 {
-		return Record{}, 0, fmt.Errorf("logstore: implausible record length %d", rawLen)
-	}
-	raw := make([]byte, rawLen)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return Record{}, 0, errTornRecord
-	}
-	return Record{Time: time.Unix(0, ts), Raw: string(raw), TemplateID: tmpl},
-		int64(recordOverhead) + int64(rawLen), nil
-}
-
-func (t *DiskTopic) openSegmentLocked() error {
-	path := filepath.Join(t.dir, fmt.Sprintf("%s%06d%s", segmentPrefix, t.segIdx, segmentSuffix))
-	f, err := t.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("logstore: open segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("logstore: stat segment: %w", err)
-	}
-	t.seg = f
-	t.segW = bufio.NewWriterSize(f, 256<<10)
-	t.segLen = st.Size()
-	return nil
-}
-
-// Append implements Store.
-func (t *DiskTopic) Append(ts time.Time, raw string, templateID uint64) (int64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return 0, errors.New("logstore: topic closed")
-	}
-	if t.segLen >= t.maxSeg {
-		if err := t.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	t.scratch = t.scratch[:0]
-	var hdr [recordOverhead]byte
-	putRecordHeader(hdr[:], ts, templateID, len(raw))
-	t.scratch = append(t.scratch, hdr[:]...)
-	t.scratch = append(t.scratch, raw...)
-	if _, err := t.segW.Write(t.scratch); err != nil {
-		return 0, fmt.Errorf("logstore: append: %w", err)
-	}
-	t.segLen += int64(len(t.scratch))
-	return t.mem.Append(ts, raw, templateID), nil
-}
-
-// batchScratchFlush bounds the encode scratch of AppendBatch: once this
-// many bytes accumulate they are handed to the buffered writer and the
-// scratch is reset, so a huge one-off batch cannot grow the topic's
-// long-lived scratch buffer to a whole segment. Matches the bufio writer
-// size, so the flush granularity costs no extra syscalls.
-const batchScratchFlush = 256 << 10
-
-// AppendBatch implements Store: the whole batch is encoded into the
-// scratch buffer and handed to the buffered segment writer in one Write
-// per scratch run (rotation mid-batch, or the scratch filling, starts a
-// new run), then admitted to the in-memory indexes under a single Topic
-// lock. On a write or rotation failure the fully-written prefix is
-// admitted and the error returned; the torn tail, if any, is truncated
-// by replay exactly as for Append.
-func (t *DiskTopic) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return 0, errors.New("logstore: topic closed")
-	}
-	admitted := 0 // records fully written to the segment writer
-	pending := 0  // records encoded in scratch, not yet written
-	t.scratch = t.scratch[:0]
-	flush := func() error {
-		if len(t.scratch) == 0 {
-			return nil
-		}
-		if _, err := t.segW.Write(t.scratch); err != nil {
-			return fmt.Errorf("logstore: append: %w", err)
-		}
-		t.segLen += int64(len(t.scratch))
-		t.scratch = t.scratch[:0]
-		admitted += pending
-		pending = 0
-		return nil
-	}
-	admit := func(err error) (int64, error) {
-		first := t.mem.AppendBatch(ts, recs[:admitted])
-		return first, err
-	}
-	var hdr [recordOverhead]byte
-	for _, r := range recs {
-		if t.segLen+int64(len(t.scratch)) >= t.maxSeg {
-			if err := flush(); err != nil {
-				return admit(err)
-			}
-			if err := t.rotateLocked(); err != nil {
-				return admit(err)
-			}
-		} else if len(t.scratch) >= batchScratchFlush {
-			if err := flush(); err != nil {
-				return admit(err)
-			}
-		}
-		putRecordHeader(hdr[:], ts, r.TemplateID, len(r.Raw))
-		t.scratch = append(t.scratch, hdr[:]...)
-		t.scratch = append(t.scratch, r.Raw...)
-		pending++
-	}
-	if err := flush(); err != nil {
-		return admit(err)
-	}
-	return admit(nil)
-}
-
-func (t *DiskTopic) rotateLocked() error {
-	if err := t.segW.Flush(); err != nil {
-		return err
-	}
-	if err := t.seg.Close(); err != nil {
-		return err
-	}
-	t.segIdx++
-	return t.openSegmentLocked()
-}
-
-// Sync flushes buffered appends to the OS and the file system.
-func (t *DiskTopic) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	if err := t.segW.Flush(); err != nil {
-		return err
-	}
-	return t.seg.Sync()
-}
-
-// Close implements Store.
-func (t *DiskTopic) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	if err := t.segW.Flush(); err != nil {
-		return err
-	}
-	return t.seg.Close()
-}
-
-// Read-side methods delegate to the in-memory indexes.
-
-// Len implements Store.
-func (t *DiskTopic) Len() int { return t.mem.Len() }
-
-// Bytes implements Store.
-func (t *DiskTopic) Bytes() int64 { return t.mem.Bytes() }
-
-// Get implements Store.
-func (t *DiskTopic) Get(offset int64) (Record, error) { return t.mem.Get(offset) }
-
-// GetBatch implements Store.
-func (t *DiskTopic) GetBatch(offsets []int64) ([]Record, error) { return t.mem.GetBatch(offsets) }
-
-// Scan implements Store.
-func (t *DiskTopic) Scan(from, to int64, tr TimeRange, fn func(Record) bool) {
-	t.mem.Scan(from, to, tr, fn)
-}
-
-// ByTemplate implements Store.
-func (t *DiskTopic) ByTemplate(ids ...uint64) []int64 { return t.mem.ByTemplate(ids...) }
-
-// ByTemplateRange implements Store.
-func (t *DiskTopic) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
-	return t.mem.ByTemplateRange(tr, ids...)
-}
-
-// TemplateCounts implements Store.
-func (t *DiskTopic) TemplateCounts(tr TimeRange) map[uint64]int { return t.mem.TemplateCounts(tr) }
-
-// GroupedCounts implements Store.
-func (t *DiskTopic) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup {
-	return t.mem.GroupedCounts(maxSamples, tr)
-}
-
-// Search implements Store.
-func (t *DiskTopic) Search(token string) []int64 { return t.mem.Search(token) }
-
-// SearchRange implements Store.
-func (t *DiskTopic) SearchRange(token string, tr TimeRange) []int64 {
-	return t.mem.SearchRange(token, tr)
-}
-
-// CountSince implements Store.
-func (t *DiskTopic) CountSince(cut time.Time) int { return t.mem.CountSince(cut) }
 
 // DiskInternal persists model snapshots as numbered files in a directory.
 // Write indexes only ever grow — after pruning (SetRetention), the next

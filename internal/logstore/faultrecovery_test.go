@@ -78,9 +78,9 @@ func TestShardedOpenNamesFailingShard(t *testing.T) {
 	if err := fsys.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A plain disk-topic segment inside a compacting shard dir is a
+	// A legacy disk-topic record file inside a shard dir is a
 	// layout conflict the shard's own open refuses.
-	if err := fsys.WriteFile(filepath.Join(bad, segmentPrefix+"000000"+segmentSuffix), []byte("x"), 0o644); err != nil {
+	if err := fsys.WriteFile(filepath.Join(bad, legacyPrefix+"000000"+legacySuffix), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := OpenSharded("t", ShardConfig{Shards: 3, Dir: "/data", SegmentBytes: 2048, Opts: StoreOptions{FS: fsys}})
@@ -115,7 +115,7 @@ func TestDegradedShardRoutesAround(t *testing.T) {
 
 	// Seed both shards while healthy.
 	for i := 0; i < 4; i++ {
-		if _, err := sh.AppendShard(i%2, ts(i), fmt.Sprintf("seed line %d", i), 1); err != nil {
+		if _, err := sh.AppendShardBatch(i%2, ts(i), []BatchRecord{{Raw: fmt.Sprintf("seed line %d", i), TemplateID: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,10 +136,10 @@ func TestDegradedShardRoutesAround(t *testing.T) {
 
 	// First pinned append is admitted (the swallowed fsync poisons the
 	// WAL and flips the shard to degraded); the next fails fast.
-	if _, err := sh.AppendShard(0, ts(10), "tipping append", 1); err != nil {
+	if _, err := sh.AppendShardBatch(0, ts(10), []BatchRecord{{Raw: "tipping append", TemplateID: 1}}); err != nil {
 		t.Fatalf("tipping append: %v", err)
 	}
-	if _, err := sh.AppendShard(0, ts(11), "pinned after degrade", 1); !errors.Is(err, ErrDegraded) {
+	if _, err := sh.AppendShardBatch(0, ts(11), []BatchRecord{{Raw: "pinned after degrade", TemplateID: 1}}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("pinned append to degraded shard: err = %v, want ErrDegraded", err)
 	}
 	if n := sh.DegradedShards(); n != 1 {
@@ -151,7 +151,7 @@ func TestDegradedShardRoutesAround(t *testing.T) {
 
 	// Un-pinned appends must route around the sick shard.
 	for i := 0; i < 6; i++ {
-		off, err := sh.Append(ts(20+i), fmt.Sprintf("routed line %d", i), 1)
+		off, err := appendOne(sh, ts(20+i), fmt.Sprintf("routed line %d", i), 1)
 		if err != nil {
 			t.Fatalf("un-pinned append %d: %v", i, err)
 		}

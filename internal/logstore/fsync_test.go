@@ -76,15 +76,15 @@ func TestWALFsyncEveryN(t *testing.T) {
 	if got := m.BatchRecords.Sum(); got != 15 {
 		t.Fatalf("batch size sum = %d, want 15", got)
 	}
-	// Per-record appends count as commits too.
-	if _, err := s.Append(ts, "single", 1); err != nil {
+	// Singleton batches count as commits too.
+	if _, err := appendOne(s, ts, "single", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(ts, "single", 1); err != nil {
+	if _, err := appendOne(s, ts, "single", 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.WALFsyncs.Value(); got != 3 {
-		t.Fatalf("fsyncs after per-record appends = %d, want 3", got)
+		t.Fatalf("fsyncs after singleton batches = %d, want 3", got)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestRecoveryMetrics(t *testing.T) {
 	if _, err := s.AppendBatch(ts, batchOf(40, 1)); err != nil { // forces ≥1 seal at 256B
 		t.Fatal(err)
 	}
-	if _, err := s.Append(ts, "tail line kept hot", 2); err != nil {
+	if _, err := appendOne(s, ts, "tail line kept hot", 2); err != nil {
 		t.Fatal(err)
 	}
 	s.WaitIdle()

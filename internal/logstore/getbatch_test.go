@@ -8,9 +8,9 @@ import (
 )
 
 func TestTopicGetBatch(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	for i := 0; i < 50; i++ {
-		tp.Append(ts(i), fmt.Sprintf("line %d", i), uint64(i%3))
+		appendOne(tp, ts(i), fmt.Sprintf("line %d", i), uint64(i%3))
 	}
 	// Out-of-order input, duplicates allowed: results come back in
 	// input order.
@@ -96,7 +96,7 @@ func TestCompactingGetBatch(t *testing.T) {
 	// it record-for-record anyway.
 	recs := check([]int64{100, 300})
 	for _, r := range recs {
-		single, err := s.Get(r.Offset)
+		single, err := getOne(s, r.Offset)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestShardedGetBatch(t *testing.T) {
 	defer s.Close()
 	var offs []int64
 	for i := 0; i < 60; i++ {
-		off, err := s.Append(ts(i), fmt.Sprintf("sharded line %d", i), uint64(i%4))
+		off, err := appendOne(s, ts(i), fmt.Sprintf("sharded line %d", i), uint64(i%4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestShardedGetBatch(t *testing.T) {
 		t.Fatalf("got %d records, want %d", len(recs), len(req))
 	}
 	for i, off := range req {
-		single, err := s.Get(off)
+		single, err := getOne(s, off)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,6 +92,74 @@ func (tr TimeRange) Overlaps(min, max time.Time) bool {
 	return true
 }
 
+// Store is the record-storage interface the service writes through: the
+// in-memory memStore, the persistent CompactingStore, and ShardedStore
+// fanning out over either.
+type Store interface {
+	// AppendBatch group-commits a batch of records, all stamped with the
+	// same timestamp, and returns the offset assigned to the first
+	// record. It is the only way in: one lock acquisition, one
+	// durability write and one index extension per batch, with hot-block
+	// rotation handled mid-batch. The store does not retain recs after
+	// the call. On error a prefix of the batch may have been admitted and
+	// the remainder was not — except on a sharded store routing across
+	// shards, where each shard admits a prefix of ITS sub-batch, so the
+	// surviving records may interleave with lost ones (see
+	// ShardedStore.AppendBatch). An empty batch is a no-op returning
+	// (0, nil).
+	AppendBatch(ts time.Time, recs []BatchRecord) (int64, error)
+	// Len returns the record count.
+	Len() int
+	// Bytes returns the total raw payload size.
+	Bytes() int64
+	// GetBatch returns the records at offsets, in input order — the
+	// offset-dense sample-fetch path. Stores that decode sealed blocks
+	// group the offsets so each touched block is decoded once, not once
+	// per offset. Any out-of-range offset fails the whole call.
+	GetBatch(offsets []int64) ([]Record, error)
+	// Scan visits records in [from, to) whose timestamp lies in tr until
+	// fn returns false; to < 0 means end, the zero TimeRange visits all.
+	Scan(from, to int64, tr TimeRange, fn func(Record) bool)
+	// ByTemplateRange returns offsets of records with any of the template
+	// IDs whose timestamp lies in tr (zero range = everything),
+	// ascending. Sealed blocks outside tr are pruned by metadata time
+	// bounds before any payload is read.
+	ByTemplateRange(tr TimeRange, ids ...uint64) []int64
+	// SearchRange returns offsets of records containing the exact token
+	// whose timestamp lies in tr (zero range = everything), with the
+	// same sealed-block time pruning as ByTemplateRange.
+	SearchRange(token string, tr TimeRange) []int64
+	// TemplateCounts returns record counts per template ID for records
+	// in tr (zero range = everything).
+	TemplateCounts(tr TimeRange) map[uint64]int
+	// GroupedCounts returns per-template record counts plus up to
+	// maxSamples example offsets each for records in tr, served from
+	// indexes and sealed metadata without reading record payloads where
+	// the range allows — the grouped-query pushdown path. Sealed blocks
+	// outside tr are pruned by metadata time bounds; only blocks the
+	// range straddles are decompressed, and within them only templates
+	// whose own time bounds straddle the boundary.
+	GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup
+	// Close releases resources; further appends fail.
+	Close() error
+}
+
+var _ Store = memStore{}
+
+// memStore adapts Topic to the Store interface.
+type memStore struct{ *Topic }
+
+// NewStore returns an in-memory Store.
+func NewStore(name string) Store { return memStore{NewTopic(name)} }
+
+// AppendBatch implements Store.
+func (m memStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
+	return m.Topic.AppendBatch(ts, recs), nil
+}
+
+// Close implements Store.
+func (m memStore) Close() error { return nil }
+
 // Topic is an append-only record log with a template index and a token
 // index. All methods are safe for concurrent use.
 type Topic struct {
@@ -102,18 +170,12 @@ type Topic struct {
 	byTmpl   map[uint64][]int64
 	tokenIdx map[string][]int64
 	bytes    int64
-	// maxTime is the monotone high-watermark of appended timestamps;
-	// disordered flips once any record arrives with an earlier timestamp
-	// than a predecessor (multiple ingest queues interleave wall-clock
-	// reads non-monotonically), disabling the binary-search fast path of
-	// CountSince, whose sort.Search contract needs ordered times.
-	// minTime is the matching low-watermark; together they let
-	// time-range queries take the index fast path when the range covers
-	// everything the topic holds, and return nothing when it overlaps
-	// none of it.
-	minTime    int64
-	maxTime    int64
-	disordered bool
+	// minTime and maxTime are the low and high watermarks of appended
+	// timestamps; together they let time-range queries take the index
+	// fast path when the range covers everything the topic holds, and
+	// return nothing when it overlaps none of it.
+	minTime int64
+	maxTime int64
 	// tokScratch is the reusable token buffer of the append path (under
 	// mu): indexing a record's search tokens no longer allocates a fields
 	// slice per line.
@@ -132,18 +194,9 @@ func NewTopic(name string) *Topic {
 // Name returns the topic name.
 func (t *Topic) Name() string { return t.name }
 
-// Append stores a record, assigns its offset, and indexes it. It returns
-// the assigned offset.
-func (t *Topic) Append(ts time.Time, raw string, templateID uint64) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appendLocked(ts, raw, templateID)
-}
-
 // AppendBatch stores a batch of records under one lock acquisition, all
 // stamped with the same timestamp, and returns the offset assigned to the
-// first record. The batch is indexed exactly as the equivalent sequence
-// of Append calls would be. An empty batch is a no-op returning 0.
+// first record. An empty batch is a no-op returning 0.
 func (t *Topic) AppendBatch(ts time.Time, recs []BatchRecord) int64 {
 	if len(recs) == 0 {
 		return 0
@@ -158,13 +211,11 @@ func (t *Topic) AppendBatch(ts time.Time, recs []BatchRecord) int64 {
 }
 
 // appendLocked stores and indexes one record; callers hold mu.
-func (t *Topic) appendLocked(ts time.Time, raw string, templateID uint64) int64 {
+func (t *Topic) appendLocked(ts time.Time, raw string, templateID uint64) {
 	off := int64(len(t.records))
 	ns := ts.UnixNano()
 	if off == 0 || ns > t.maxTime {
 		t.maxTime = ns
-	} else if ns < t.maxTime {
-		t.disordered = true
 	}
 	if off == 0 || ns < t.minTime {
 		t.minTime = ns
@@ -181,7 +232,6 @@ func (t *Topic) appendLocked(ts time.Time, raw string, templateID uint64) int64 
 		}
 	}
 	t.bytes += int64(len(raw))
-	return off
 }
 
 // Len returns the record count.
@@ -196,16 +246,6 @@ func (t *Topic) Bytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.bytes
-}
-
-// Get returns the record at offset.
-func (t *Topic) Get(offset int64) (Record, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if offset < 0 || offset >= int64(len(t.records)) {
-		return Record{}, fmt.Errorf("logstore: offset %d out of range [0,%d)", offset, len(t.records))
-	}
-	return t.records[offset], nil
 }
 
 // GetBatch returns the records at offsets, in input order, under one
@@ -284,14 +324,9 @@ func (t *Topic) Scan(from, to int64, tr TimeRange, fn func(Record) bool) {
 	}
 }
 
-// ByTemplate returns the offsets of records matched to any of ids, in
-// ascending order.
-func (t *Topic) ByTemplate(ids ...uint64) []int64 {
-	return t.ByTemplateRange(TimeRange{}, ids...)
-}
-
-// ByTemplateRange is ByTemplate bounded to records whose timestamp lies
-// in tr; the zero range takes the index fast path.
+// ByTemplateRange returns the offsets of records matched to any of ids
+// whose timestamp lies in tr, in ascending order; the zero range takes
+// the index fast path.
 func (t *Topic) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -393,14 +428,9 @@ func (t *Topic) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateG
 	return out
 }
 
-// Search returns the offsets of records containing token (exact
-// whitespace-delimited match), ascending.
-func (t *Topic) Search(token string) []int64 {
-	return t.SearchRange(token, TimeRange{})
-}
-
-// SearchRange is Search bounded to records whose timestamp lies in tr;
-// the zero range copies the token index entry straight out.
+// SearchRange returns the offsets of records containing token (exact
+// whitespace-delimited match) whose timestamp lies in tr, ascending; the
+// zero range copies the token index entry straight out.
 func (t *Topic) SearchRange(token string, tr TimeRange) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -422,32 +452,6 @@ func (t *Topic) SearchRange(token string, tr TimeRange) []int64 {
 	out := make([]int64, len(offs))
 	copy(out, offs)
 	return out
-}
-
-// CountSince returns how many records arrived at or after cut.
-func (t *Topic) CountSince(cut time.Time) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.records) == 0 || time.Unix(0, t.maxTime).Before(cut) {
-		return 0
-	}
-	if t.disordered {
-		// Concurrent ingest queues interleaved timestamps out of order;
-		// a binary search over Time would return an arbitrary boundary,
-		// so count linearly.
-		n := 0
-		for i := range t.records {
-			if !t.records[i].Time.Before(cut) {
-				n++
-			}
-		}
-		return n
-	}
-	// Times are monotone so far; binary search the boundary.
-	i := sort.Search(len(t.records), func(i int) bool {
-		return !t.records[i].Time.Before(cut)
-	})
-	return len(t.records) - i
 }
 
 // ErrNoSnapshot is returned by LatestSnapshot on an empty internal topic.

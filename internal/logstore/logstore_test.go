@@ -9,10 +9,10 @@ import (
 func ts(sec int) time.Time { return time.Unix(int64(sec), 0) }
 
 func TestAppendAssignsDenseOffsets(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	for i := 0; i < 10; i++ {
-		off := tp.Append(ts(i), "line", uint64(i%3))
-		if off != int64(i) {
+		off, err := appendOne(tp, ts(i), "line", uint64(i%3))
+		if err != nil || off != int64(i) {
 			t.Fatalf("offset = %d, want %d", off, i)
 		}
 	}
@@ -22,17 +22,17 @@ func TestAppendAssignsDenseOffsets(t *testing.T) {
 }
 
 func TestGetAndScan(t *testing.T) {
-	tp := NewTopic("t")
-	tp.Append(ts(1), "alpha beta", 1)
-	tp.Append(ts(2), "gamma delta", 2)
-	r, err := tp.Get(1)
+	tp := NewStore("t")
+	appendOne(tp, ts(1), "alpha beta", 1)
+	appendOne(tp, ts(2), "gamma delta", 2)
+	r, err := getOne(tp, 1)
 	if err != nil || r.Raw != "gamma delta" || r.TemplateID != 2 {
 		t.Fatalf("Get(1) = %+v, %v", r, err)
 	}
-	if _, err := tp.Get(5); err == nil {
+	if _, err := getOne(tp, 5); err == nil {
 		t.Error("Get out of range did not error")
 	}
-	if _, err := tp.Get(-1); err == nil {
+	if _, err := getOne(tp, -1); err == nil {
 		t.Error("Get(-1) did not error")
 	}
 	var seen []string
@@ -52,15 +52,15 @@ func TestGetAndScan(t *testing.T) {
 }
 
 func TestByTemplateAndCounts(t *testing.T) {
-	tp := NewTopic("t")
-	tp.Append(ts(1), "a", 7)
-	tp.Append(ts(2), "b", 9)
-	tp.Append(ts(3), "c", 7)
-	offs := tp.ByTemplate(7)
+	tp := NewStore("t")
+	appendOne(tp, ts(1), "a", 7)
+	appendOne(tp, ts(2), "b", 9)
+	appendOne(tp, ts(3), "c", 7)
+	offs := tp.ByTemplateRange(TimeRange{}, 7)
 	if len(offs) != 2 || offs[0] != 0 || offs[1] != 2 {
 		t.Errorf("ByTemplate(7) = %v", offs)
 	}
-	both := tp.ByTemplate(7, 9)
+	both := tp.ByTemplateRange(TimeRange{}, 7, 9)
 	if len(both) != 3 {
 		t.Errorf("ByTemplate(7,9) = %v", both)
 	}
@@ -71,31 +71,31 @@ func TestByTemplateAndCounts(t *testing.T) {
 }
 
 func TestSearchTokenIndex(t *testing.T) {
-	tp := NewTopic("t")
-	tp.Append(ts(1), "error on disk sda", 1)
-	tp.Append(ts(2), "ok on disk sdb", 1)
-	tp.Append(ts(3), "error again", 2)
-	offs := tp.Search("error")
+	tp := NewStore("t")
+	appendOne(tp, ts(1), "error on disk sda", 1)
+	appendOne(tp, ts(2), "ok on disk sdb", 1)
+	appendOne(tp, ts(3), "error again", 2)
+	offs := tp.SearchRange("error", TimeRange{})
 	if len(offs) != 2 || offs[0] != 0 || offs[1] != 2 {
 		t.Errorf("Search(error) = %v", offs)
 	}
-	if got := tp.Search("absent"); len(got) != 0 {
+	if got := tp.SearchRange("absent", TimeRange{}); len(got) != 0 {
 		t.Errorf("Search(absent) = %v", got)
 	}
 }
 
 func TestCountSince(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	for i := 0; i < 10; i++ {
-		tp.Append(ts(i), "x", 0)
+		appendOne(tp, ts(i), "x", 0)
 	}
-	if got := tp.CountSince(ts(7)); got != 3 {
+	if got := countSince(tp, ts(7)); got != 3 {
 		t.Errorf("CountSince = %d, want 3", got)
 	}
-	if got := tp.CountSince(ts(100)); got != 0 {
+	if got := countSince(tp, ts(100)); got != 0 {
 		t.Errorf("CountSince(future) = %d", got)
 	}
-	if got := tp.CountSince(ts(0)); got != 10 {
+	if got := countSince(tp, ts(0)); got != 10 {
 		t.Errorf("CountSince(epoch) = %d", got)
 	}
 }
@@ -105,11 +105,11 @@ func TestCountSince(t *testing.T) {
 // them returns an arbitrary boundary. The count must match the linear
 // truth regardless of arrival order.
 func TestCountSinceOutOfOrder(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	// 0, 5, 1, 6, 2, 7, ... — two queues interleaving their clocks.
 	secs := []int{0, 5, 1, 6, 2, 7, 3, 8, 4, 9}
 	for _, s := range secs {
-		tp.Append(ts(s), "x", 0)
+		appendOne(tp, ts(s), "x", 0)
 	}
 	for _, cut := range []int{0, 3, 5, 8, 9, 10} {
 		want := 0
@@ -118,7 +118,7 @@ func TestCountSinceOutOfOrder(t *testing.T) {
 				want++
 			}
 		}
-		if got := tp.CountSince(ts(cut)); got != want {
+		if got := countSince(tp, ts(cut)); got != want {
 			t.Errorf("CountSince(%d) = %d, want %d", cut, got, want)
 		}
 	}
@@ -129,14 +129,14 @@ func TestCountSinceOutOfOrder(t *testing.T) {
 // against a full scan — under -race this also covers the watermark
 // bookkeeping.
 func TestCountSinceConcurrentIngest(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				tp.Append(ts(g*1000+i), "line", 0)
+				appendOne(tp, ts(g*1000+i), "line", 0)
 			}
 		}(g)
 	}
@@ -152,32 +152,32 @@ func TestCountSinceConcurrentIngest(t *testing.T) {
 	if want != 500 {
 		t.Fatalf("setup: scan counted %d, want 500", want)
 	}
-	if got := tp.CountSince(cut); got != want {
+	if got := countSince(tp, cut); got != want {
 		t.Fatalf("CountSince = %d, want %d", got, want)
 	}
-	if got := tp.CountSince(ts(4000)); got != 0 {
+	if got := countSince(tp, ts(4000)); got != 0 {
 		t.Fatalf("CountSince(beyond watermark) = %d, want 0", got)
 	}
 }
 
 func TestBytesTracked(t *testing.T) {
-	tp := NewTopic("t")
-	tp.Append(ts(1), "12345", 0)
-	tp.Append(ts(2), "123", 0)
+	tp := NewStore("t")
+	appendOne(tp, ts(1), "12345", 0)
+	appendOne(tp, ts(2), "123", 0)
 	if tp.Bytes() != 8 {
 		t.Errorf("Bytes = %d, want 8", tp.Bytes())
 	}
 }
 
 func TestConcurrentAppendAndRead(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tp.Append(time.Now(), "concurrent line", uint64(i%5))
+				appendOne(tp, time.Now(), "concurrent line", uint64(i%5))
 			}
 		}()
 		go func() {
@@ -185,7 +185,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tp.Len()
 				tp.TemplateCounts(TimeRange{})
-				tp.Search("concurrent")
+				tp.SearchRange("concurrent", TimeRange{})
 			}
 		}()
 	}

@@ -17,7 +17,7 @@ type StoreOptions struct {
 	// (every instrument method on a nil handle or field is a no-op).
 	Metrics *Metrics
 	// FsyncEveryBatches, when > 0, fsyncs the hot WAL after every N
-	// append/batch commits, bounding the unsynced window by work done.
+	// AppendBatch commits, bounding the unsynced window by work done.
 	FsyncEveryBatches int
 	// FsyncInterval, when > 0, runs a background flush loop syncing the
 	// hot WAL every interval when appends happened since the last sync,

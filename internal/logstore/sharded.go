@@ -35,9 +35,10 @@ type ShardConfig struct {
 	Shards int
 	// Dir, when set, persists each shard under Dir/shard-<i>.
 	Dir string
-	// SegmentBytes > 0 backs every shard with a CompactingStore sealing
-	// blocks of this raw size; otherwise shards are plain topics
-	// (in-memory, or DiskTopic when Dir is set).
+	// SegmentBytes is the raw size at which a compacting shard seals its
+	// hot block. Shards are CompactingStores when Dir or SegmentBytes is
+	// set (0 with Dir means the 4 MiB default) and in-memory topics
+	// otherwise — see OpenStore.
 	SegmentBytes int64
 	// Codec compresses sealed payloads (segment store only).
 	Codec segment.Codec
@@ -48,8 +49,9 @@ type ShardConfig struct {
 
 // ShardedStore fans one topic out over N sub-stores so appends scale
 // with cores: each ingestion queue pins its appends to one shard
-// (AppendShard) and never contends on another shard's store mutex, while
-// plain Append round-robins. Offsets are namespaced shard<<48|local;
+// (AppendShardBatch) and never contends on another shard's store mutex,
+// while plain AppendBatch round-robins. Offsets are namespaced
+// shard<<48|local;
 // reads route by the high bits and grouped queries merge per-shard
 // results. Global offset order is shard-major (all of shard 0's offsets
 // sort below shard 1's), and records from different shards interleave in
@@ -108,7 +110,7 @@ func checkShardLayout(fsys fsx.FS, dir string, shards int) error {
 	for _, e := range entries {
 		n := e.Name()
 		if !e.IsDir() {
-			if strings.HasSuffix(n, segmentSuffix) || strings.HasSuffix(n, sealedSuffix) || strings.HasSuffix(n, walSuffix) {
+			if strings.HasSuffix(n, legacySuffix) || strings.HasSuffix(n, sealedSuffix) || strings.HasSuffix(n, walSuffix) {
 				return fmt.Errorf("logstore: sharded open %s: found unsharded store file %s; this topic was persisted unsharded (set TopicShards back to 1, or use a fresh data dir)", dir, n)
 			}
 			continue
@@ -128,24 +130,17 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%03d", shardDirPrefix, i))
 }
 
-// OpenStore builds one store of the kind the knobs select: a compacting
-// segment store when segmentBytes > 0 (persistent when dir is set), a
-// disk topic when only dir is set, an in-memory topic otherwise. It is
-// the single store-selection point shared by the service layer (one
-// store per topic) and ShardedStore (one store per shard).
-func OpenStore(name, dir string, segmentBytes int64, codec segment.Codec, opts ...StoreOptions) (Store, error) {
-	var o StoreOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	switch {
-	case segmentBytes > 0:
-		return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: segmentBytes, Codec: codec, Opts: o})
-	case dir == "":
+// OpenStore builds one store of the kind the knobs select: an in-memory
+// topic when neither dir nor segmentBytes is set, otherwise a compacting
+// segment store (persistent under dir when set; segmentBytes 0 takes the
+// 4 MiB default). It is the single store-selection point shared by the
+// service layer (one store per topic) and ShardedStore (one store per
+// shard).
+func OpenStore(name, dir string, segmentBytes int64, codec segment.Codec, opts StoreOptions) (Store, error) {
+	if dir == "" && segmentBytes <= 0 {
 		return NewStore(name), nil
-	default:
-		return OpenDiskTopicFS(o.FS, dir)
 	}
+	return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: segmentBytes, Codec: codec, Opts: opts})
 }
 
 // openShard builds one sub-store.
@@ -161,7 +156,7 @@ func openShard(name string, i int, cfg ShardConfig) (Store, error) {
 func (s *ShardedStore) Shards() int { return len(s.shards) }
 
 // shardDegraded reports whether shard i has degraded to read-only.
-// Shards without a degrade concept (plain topics) never degrade.
+// In-memory shards have no degrade concept and never degrade.
 func (s *ShardedStore) shardDegraded(i int) bool {
 	d, ok := s.shards[i].(Degrader)
 	if !ok {
@@ -171,60 +166,19 @@ func (s *ShardedStore) shardDegraded(i int) bool {
 	return deg
 }
 
-// routeShard picks the shard for an un-pinned append: the round-robin
-// choice, unless it has degraded and a healthy sibling exists — a
-// single full disk must not wedge writes that other shards can still
-// take. When every shard is degraded the original pick is returned and
-// its ErrDegraded propagates.
-func (s *ShardedStore) routeShard(pick int) int {
-	n := len(s.shards)
-	for off := 0; off < n; off++ {
-		i := (pick + off) % n
-		if !s.shardDegraded(i) {
-			return i
-		}
-	}
-	return pick
-}
-
-// Append implements Store, round-robining across healthy shards.
-// Ingestion pipelines that want zero cross-shard contention use
-// AppendShard with a fixed queue→shard assignment instead.
-func (s *ShardedStore) Append(ts time.Time, raw string, templateID uint64) (int64, error) {
-	shard := int((s.next.Add(1) - 1) % uint64(len(s.shards)))
-	return s.AppendShard(s.routeShard(shard), ts, raw, templateID)
-}
-
-// AppendShard appends to one specific shard and returns the namespaced
-// global offset. Each ingestion queue pins itself to a shard so parallel
-// queues never serialize on a shared store mutex.
-func (s *ShardedStore) AppendShard(shard int, ts time.Time, raw string, templateID uint64) (int64, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return 0, fmt.Errorf("logstore: shard %d out of range [0,%d)", shard, len(s.shards))
-	}
-	local, err := s.shards[shard].Append(ts, raw, templateID)
-	if err != nil {
-		return 0, err
-	}
-	s.m.shardAppend(shard, 1)
-	if local > shardLocalMask {
-		return 0, fmt.Errorf("logstore: shard %d local offset %d overflows the %d-bit namespace", shard, local, shardShift)
-	}
-	return int64(shard)<<shardShift | local, nil
-}
-
-// AppendBatch implements Store: the batch is partitioned by the same
-// round-robin routing an Append sequence would use (record i of the batch
-// goes to the shard Append call number i would have picked), then each
-// shard receives its sub-batch through one group-committed AppendBatch
-// call. Offsets are therefore identical to the equivalent Append loop.
-// Pinned ingestion queues use AppendShardBatch instead and skip the
-// partition entirely. On error some shards may have admitted their
-// sub-batch (or a prefix of it) and others not, so — unlike single-store
-// AppendBatch — the admitted records are NOT necessarily a prefix of the
-// batch: surviving records can interleave with lost ones, exactly as
-// they could when parallel per-record Appends raced across shards. The
-// returned error reports the first failure.
+// AppendBatch implements Store: the batch is partitioned round-robin
+// (one cursor step per record, continuing across calls, so the routing —
+// and with it every offset — depends only on the record sequence, not on
+// how it is cut into batches), then each shard receives its sub-batch
+// through one group-committed AppendBatch call. A degraded shard's picks
+// go to the next healthy sibling: a single full disk must not wedge
+// writes that other shards can still take; when every shard is degraded
+// ErrDegraded surfaces. Pinned ingestion queues use AppendShardBatch
+// instead and skip the partition entirely. On error some shards may have
+// admitted their sub-batch (or a prefix of it) and others not, so —
+// unlike single-store AppendBatch — the admitted records are NOT
+// necessarily a prefix of the batch: surviving records can interleave
+// with lost ones. The returned error reports the first failure.
 func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -283,9 +237,9 @@ func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, err
 }
 
 // AppendShardBatch group-commits a whole batch into one specific shard
-// and returns the namespaced global offset of its first record — the
-// batch counterpart of AppendShard for pinned ingestion queues: one
-// sub-store AppendBatch call, zero cross-shard contention.
+// and returns the namespaced global offset of its first record. Each
+// ingestion queue pins itself to a shard through it: one sub-store
+// AppendBatch call, zero cross-shard contention.
 func (s *ShardedStore) AppendShardBatch(shard int, ts time.Time, recs []BatchRecord) (int64, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return 0, fmt.Errorf("logstore: shard %d out of range [0,%d)", shard, len(s.shards))
@@ -320,20 +274,6 @@ func (s *ShardedStore) Bytes() int64 {
 		n += sub.Bytes()
 	}
 	return n
-}
-
-// Get implements Store, routing by the shard bits of the offset.
-func (s *ShardedStore) Get(offset int64) (Record, error) {
-	shard := int(offset >> shardShift)
-	if offset < 0 || shard >= len(s.shards) {
-		return Record{}, fmt.Errorf("logstore: offset %d outside the %d-shard namespace", offset, len(s.shards))
-	}
-	rec, err := s.shards[shard].Get(offset & shardLocalMask)
-	if err != nil {
-		return Record{}, err
-	}
-	rec.Offset = offset
-	return rec, nil
 }
 
 // GetBatch implements Store: offsets are partitioned per shard so each
@@ -407,15 +347,9 @@ func (s *ShardedStore) Scan(from, to int64, tr TimeRange, fn func(Record) bool) 
 	}
 }
 
-// ByTemplate implements Store. Per-shard results are ascending and the
-// namespace is shard-major, so concatenation in shard order is globally
-// ascending.
-func (s *ShardedStore) ByTemplate(ids ...uint64) []int64 {
-	return s.ByTemplateRange(TimeRange{}, ids...)
-}
-
-// ByTemplateRange implements Store, concatenating per-shard results in
-// namespace order; tr pushes down into each shard's own pruning.
+// ByTemplateRange implements Store; tr pushes down into each shard's own
+// pruning. Per-shard results are ascending and the namespace is
+// shard-major, so concatenation in shard order is globally ascending.
 func (s *ShardedStore) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
 	var out []int64
 	for i, sub := range s.shards {
@@ -461,13 +395,9 @@ func (s *ShardedStore) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]Te
 	return out
 }
 
-// Search implements Store; see ByTemplate for the ordering argument.
-func (s *ShardedStore) Search(token string) []int64 {
-	return s.SearchRange(token, TimeRange{})
-}
-
 // SearchRange implements Store, concatenating per-shard results in
-// namespace order; tr pushes down into each shard's own pruning.
+// namespace order (see ByTemplateRange); tr pushes down into each shard's
+// own pruning.
 func (s *ShardedStore) SearchRange(token string, tr TimeRange) []int64 {
 	var out []int64
 	for i, sub := range s.shards {
@@ -477,17 +407,6 @@ func (s *ShardedStore) SearchRange(token string, tr TimeRange) []int64 {
 		}
 	}
 	return out
-}
-
-// CountSince implements Store, summing per-shard counts. Each queue's
-// timestamps are monotone within its shard, so the per-shard fast path
-// usually survives sharded ingestion.
-func (s *ShardedStore) CountSince(cut time.Time) int {
-	n := 0
-	for _, sub := range s.shards {
-		n += sub.CountSince(cut)
-	}
-	return n
 }
 
 // Close implements Store, closing every shard and returning the first
@@ -536,7 +455,7 @@ func (s *ShardedStore) Seal() error {
 		}
 	}
 	if !sealed {
-		return errors.New("logstore: sharded topic has no segment store (set SegmentBytes)")
+		return errors.New("logstore: sharded topic has no segment store (set a data dir or SegmentBytes)")
 	}
 	return nil
 }
@@ -595,7 +514,7 @@ func (s *ShardedStore) Degraded() (bool, error) {
 	for i, sub := range s.shards {
 		d, ok := sub.(Degrader)
 		if !ok {
-			return false, nil // a plain topic shard never degrades
+			return false, nil // an in-memory shard never degrades
 		}
 		if isDeg, err := d.Degraded(); isDeg {
 			deg++
@@ -621,17 +540,12 @@ func (s *ShardedStore) DegradedShards() int {
 	return n
 }
 
-// Flush forces buffered durability writes (WALs, disk-topic buffers) to
-// the OS on every shard that has them.
+// Flush forces buffered WAL bytes to the OS on every compacting shard
+// (in-memory shards have nothing to flush).
 func (s *ShardedStore) Flush() error {
 	for _, sub := range s.shards {
-		switch st := sub.(type) {
-		case *CompactingStore:
-			if err := st.Flush(); err != nil {
-				return err
-			}
-		case *DiskTopic:
-			if err := st.Sync(); err != nil {
+		if cs, ok := sub.(*CompactingStore); ok {
+			if err := cs.Flush(); err != nil {
 				return err
 			}
 		}

@@ -12,9 +12,9 @@ import (
 
 func shardedConfigs(t *testing.T) map[string]ShardConfig {
 	return map[string]ShardConfig{
-		"memory":     {Shards: 4},
-		"disk":       {Shards: 4, Dir: t.TempDir()},
-		"compacting": {Shards: 4, Dir: t.TempDir(), SegmentBytes: 2048, Codec: segment.CodecFlate},
+		"memory":          {Shards: 4},
+		"sharded-default": {Shards: 4, Dir: t.TempDir()}, // DataDir alone: compacting shards at the default seal size
+		"compacting":      {Shards: 4, Dir: t.TempDir(), SegmentBytes: 2048, Codec: segment.CodecFlate},
 	}
 }
 
@@ -26,7 +26,7 @@ func fillSharded(t *testing.T, s *ShardedStore, n, start int) []int64 {
 	for i := start; i < start+n; i++ {
 		raw := fmt.Sprintf("worker %d finished job job-%d in 12ms", i%7, i)
 		shard := i % s.Shards()
-		off, err := s.AppendShard(shard, ts(i), raw, uint64(1+i%3))
+		off, err := s.AppendShardBatch(shard, ts(i), []BatchRecord{{Raw: raw, TemplateID: uint64(1 + i%3)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestShardedRoundTrip(t *testing.T) {
 
 			// Every record readable at its namespaced offset.
 			for i, off := range offs {
-				r, err := s.Get(off)
+				r, err := getOne(s, off)
 				if err != nil {
 					t.Fatalf("Get(%d): %v", off, err)
 				}
@@ -67,7 +67,7 @@ func TestShardedRoundTrip(t *testing.T) {
 					t.Fatalf("Get(%d) = %+v", off, r)
 				}
 			}
-			if _, err := s.Get(int64(cfg.Shards) << shardShift); err == nil {
+			if _, err := getOne(s, int64(cfg.Shards)<<shardShift); err == nil {
 				t.Fatal("Get outside the shard namespace must error")
 			}
 
@@ -99,7 +99,7 @@ func TestShardedRoundTrip(t *testing.T) {
 			}
 
 			// Template queries merge across shards.
-			byTmpl := s.ByTemplate(2)
+			byTmpl := s.ByTemplateRange(TimeRange{}, 2)
 			if len(byTmpl) != 167 {
 				t.Fatalf("ByTemplate(2) = %d offsets", len(byTmpl))
 			}
@@ -128,20 +128,20 @@ func TestShardedRoundTrip(t *testing.T) {
 			}
 
 			// Token search and time counts.
-			hits := s.Search("job-123")
+			hits := s.SearchRange("job-123", TimeRange{})
 			if len(hits) != 1 {
 				t.Fatalf("Search(job-123) = %v", hits)
 			}
-			if r, _ := s.Get(hits[0]); !strings.Contains(r.Raw, "job-123") {
+			if r, _ := getOne(s, hits[0]); !strings.Contains(r.Raw, "job-123") {
 				t.Fatalf("Search hit resolves to %q", r.Raw)
 			}
-			if n := s.CountSince(ts(400)); n != 100 {
+			if n := countSince(s, ts(400)); n != 100 {
 				t.Fatalf("CountSince = %d, want 100", n)
 			}
 
-			// Round-robin Append distributes across shards too.
+			// Un-pinned appends round-robin across shards too.
 			for i := 0; i < cfg.Shards; i++ {
-				if _, err := s.Append(ts(600+i), "round robin", 7); err != nil {
+				if _, err := appendOne(s, ts(600+i), "round robin", 7); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -216,7 +216,7 @@ func TestShardedRecovery(t *testing.T) {
 		t.Fatalf("recovered %d records, want 400", s2.Len())
 	}
 	for i, off := range offs {
-		r, err := s2.Get(off)
+		r, err := getOne(s2, off)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", off, err)
 		}
@@ -226,7 +226,7 @@ func TestShardedRecovery(t *testing.T) {
 		}
 	}
 	// Appends continue into the right shards after recovery.
-	off, err := s2.AppendShard(2, ts(400), "after restart", 9)
+	off, err := s2.AppendShardBatch(2, ts(400), []BatchRecord{{Raw: "after restart", TemplateID: 9}})
 	if err != nil || off>>shardShift != 2 {
 		t.Fatalf("AppendShard after reopen: %d, %v", off, err)
 	}
@@ -266,7 +266,7 @@ func TestShardedLayoutMismatchRefused(t *testing.T) {
 		t.Fatal("OpenSharded on an unsharded dir must refuse")
 	}
 
-	// Sharded dir opened unsharded (both store kinds).
+	// Sharded dir opened unsharded.
 	sdir := t.TempDir()
 	ss, err := OpenSharded("t", ShardConfig{Shards: 2, Dir: sdir, SegmentBytes: 1 << 30, Codec: segment.CodecFlate})
 	if err != nil {
@@ -278,9 +278,6 @@ func TestShardedLayoutMismatchRefused(t *testing.T) {
 	}
 	if _, err := OpenCompacting("t", CompactConfig{Dir: sdir, SegmentBytes: 1 << 30}); err == nil {
 		t.Fatal("OpenCompacting on a sharded dir must refuse")
-	}
-	if _, err := OpenDiskTopic(sdir); err == nil {
-		t.Fatal("OpenDiskTopic on a sharded dir must refuse")
 	}
 }
 
@@ -300,7 +297,7 @@ func TestShardedStress(t *testing.T) {
 			defer appendWG.Done()
 			for i := 0; i < perShard; i++ {
 				raw := fmt.Sprintf("shard %d req %d handled path=/api/%d", shard, i, i%50)
-				if _, err := s.AppendShard(shard, ts(shard*perShard+i), raw, uint64(1+i%5)); err != nil {
+				if _, err := s.AppendShardBatch(shard, ts(shard*perShard+i), []BatchRecord{{Raw: raw, TemplateID: uint64(1 + i%5)}}); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -328,11 +325,11 @@ func TestShardedStress(t *testing.T) {
 	for { // querier (main goroutine)
 		s.Len()
 		s.Bytes()
-		s.ByTemplate(3)
+		s.ByTemplateRange(TimeRange{}, 3)
 		s.TemplateCounts(TimeRange{})
 		s.GroupedCounts(5, TimeRange{})
-		s.Search("handled")
-		s.CountSince(ts(10))
+		s.SearchRange("handled", TimeRange{})
+		countSince(s, ts(10))
 		s.ShardStats()
 		select {
 		case <-done:
@@ -344,14 +341,14 @@ func TestShardedStress(t *testing.T) {
 			if got := s.Len(); got != 4*perShard {
 				t.Fatalf("Len = %d, want %d", got, 4*perShard)
 			}
-			if got := len(s.ByTemplate(2)); got != 4*perShard/5 {
+			if got := len(s.ByTemplateRange(TimeRange{}, 2)); got != 4*perShard/5 {
 				t.Fatalf("ByTemplate(2) = %d, want %d", got, 4*perShard/5)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 			// Appends after Close fail instead of panicking.
-			if _, err := s.AppendShard(0, ts(0), "late", 1); err == nil {
+			if _, err := s.AppendShardBatch(0, ts(0), []BatchRecord{{Raw: "late", TemplateID: 1}}); err == nil {
 				t.Fatal("AppendShard after Close must fail")
 			}
 			return

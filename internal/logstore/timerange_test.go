@@ -50,14 +50,14 @@ func TestTimeRangeSemantics(t *testing.T) {
 // bounded range must agree with a manual filter, including when
 // timestamps arrive out of order.
 func TestTopicTimeRangeQueries(t *testing.T) {
-	tp := NewTopic("t")
+	tp := NewStore("t")
 	// Out-of-order arrival: 0, 50, 1, 51, ... like two interleaved queues.
 	var secs []int
 	for i := 0; i < 50; i++ {
 		secs = append(secs, i, 50+i)
 	}
 	for i, s := range secs {
-		tp.Append(ts(s), fmt.Sprintf("line %d", i), uint64(1+i%3))
+		appendOne(tp, ts(s), fmt.Sprintf("line %d", i), uint64(1+i%3))
 	}
 	for _, r := range []TimeRange{tr(10, 30), tr(0, 99), tr(25, 25), tr(90, 200), {From: ts(95)}, {To: ts(4)}, tr(30, 10), tr(1000, 2000), {}} {
 		wantCounts := map[uint64]int{}
@@ -124,16 +124,16 @@ func TestCompactingTimeRangePushdown(t *testing.T) {
 	// 10 sealed blocks of 100 records each (forced seals), then 50 hot.
 	// Record i carries ts(i), so block b spans [ts(100b), ts(100b+99)].
 	n := 0
-	appendOne := func() {
+	appendNext := func() {
 		raw := fmt.Sprintf("req %d from host-%d", n, n%4)
-		if _, err := s.Append(ts(n), raw, uint64(1+n%3)); err != nil {
+		if _, err := appendOne(s, ts(n), raw, uint64(1+n%3)); err != nil {
 			t.Fatal(err)
 		}
 		n++
 	}
 	for b := 0; b < 10; b++ {
 		for i := 0; i < 100; i++ {
-			appendOne()
+			appendNext()
 		}
 		if err := s.Seal(); err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCompactingTimeRangePushdown(t *testing.T) {
 		s.WaitIdle()
 	}
 	for i := 0; i < 50; i++ {
-		appendOne()
+		appendNext()
 	}
 	if st := s.SegmentStats(); st.Segments != 10 || st.HotRecords != 50 {
 		t.Fatalf("setup: %+v", st)
@@ -213,8 +213,10 @@ func TestCompactingTimeRangePushdown(t *testing.T) {
 	}
 }
 
-// TestCountSinceBoundaries locks the metadata fast paths of CountSince to
-// the linear-scan truth at exact boundary timestamps, across the hot
+// TestCountSinceBoundaries locks "records at or after cut" — the sum of
+// TemplateCounts over the open-ended range starting at cut, with its
+// sealed all-in/all-out metadata fast paths — to the linear-scan truth
+// at exact boundary timestamps (the cut is inclusive), across the hot
 // topic, sealed segments, and the sharded merge.
 func TestCountSinceBoundaries(t *testing.T) {
 	build := func(t *testing.T) (Store, func()) {
@@ -228,7 +230,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		s, done := build(t)
 		defer done()
 		for i := 0; i < 100; i++ {
-			if _, err := s.Append(ts(10+i), "x", 1); err != nil {
+			if _, err := appendOne(s, ts(10+i), "x", 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,7 +240,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		}
 		cs.WaitIdle()
 		for i := 0; i < 40; i++ { // hot tail continues the clock
-			if _, err := s.Append(ts(110+i), "x", 1); err != nil {
+			if _, err := appendOne(s, ts(110+i), "x", 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,7 +254,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 				}
 				return true
 			})
-			if got := s.CountSince(ts(cut)); got != want {
+			if got := countSince(s, ts(cut)); got != want {
 				t.Errorf("CountSince(ts(%d)) = %d, want %d", cut, got, want)
 			}
 		}
@@ -264,7 +266,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		}
 		defer s.Close()
 		for i := 0; i < 90; i++ {
-			if _, err := s.AppendShard(i%3, ts(10+i), "x", 1); err != nil {
+			if _, err := s.AppendShardBatch(i%3, ts(10+i), []BatchRecord{{Raw: "x", TemplateID: 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -280,7 +282,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 				}
 				return true
 			})
-			if got := s.CountSince(ts(cut)); got != want {
+			if got := countSince(s, ts(cut)); got != want {
 				t.Errorf("sharded CountSince(ts(%d)) = %d, want %d", cut, got, want)
 			}
 		}
@@ -306,7 +308,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.AppendShard(i%4, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
+		if _, err := s.AppendShardBatch(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +319,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 400; i < 500; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.AppendShard(i%4, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
+		if _, err := s.AppendShardBatch(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +340,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 				t.Errorf("range %v: count[%d] = %d, want %d", r, id, groups[id].Count, cnt)
 			}
 			for _, off := range groups[id].Samples {
-				got, err := s.Get(off)
+				got, err := getOne(s, off)
 				if err != nil {
 					t.Fatalf("range %v: Get(sample %d): %v", r, off, err)
 				}
@@ -396,7 +398,7 @@ func TestShardedTimeRangeStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if _, err := s.AppendShard(w, ts(i), fmt.Sprintf("w%d line %d token-%d", w, i, i%17), uint64(1+i%7)); err != nil {
+				if _, err := s.AppendShardBatch(w, ts(i), []BatchRecord{{Raw: fmt.Sprintf("w%d line %d token-%d", w, i, i%17), TemplateID: uint64(1 + i%7)}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -419,7 +421,7 @@ func TestShardedTimeRangeStress(t *testing.T) {
 			for _, g := range s.GroupedCounts(3, r) {
 				total += g.Count
 			}
-			n := s.CountSince(ts(lo))
+			n := countSince(s, ts(lo))
 			_ = total
 			_ = n
 		}

@@ -28,12 +28,11 @@ func stopSealer(s *CompactingStore) {
 	s.sealWG.Wait()
 }
 
-// TestWALBatchGoldenBytes is the WAL-compat satellite: the bytes a
-// group-committed AppendBatch writes must be identical to the bytes the
-// per-record Append path writes for the same records — including the
-// block-rotation boundaries mid-batch, so the WAL file SET matches too.
-// Byte identity is what guarantees a pre-PR reader replays batch-written
-// WALs: the on-disk format did not change at all.
+// TestWALBatchGoldenBytes is the WAL half of batch-partition invariance:
+// the bytes one big group-committed AppendBatch writes must be identical
+// to the bytes singleton batches write for the same records — including
+// the block-rotation boundaries mid-batch, so the WAL file SET matches
+// too. (TestWALPrePRFormatRecovers pins the record encoding itself.)
 func TestWALBatchGoldenBytes(t *testing.T) {
 	for _, segBytes := range []int64{1 << 30, 300} {
 		t.Run(fmt.Sprintf("segmentBytes=%d", segBytes), func(t *testing.T) {
@@ -59,7 +58,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 				}
 			}
 			for _, r := range recs {
-				if _, err := one.Append(ts(7), r.Raw, r.TemplateID); err != nil {
+				if _, err := appendOne(one, ts(7), r.Raw, r.TemplateID); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -75,7 +74,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 
 			onePaths, batchPaths := walFiles(t, dirOne), walFiles(t, dirBatch)
 			if len(onePaths) != len(batchPaths) {
-				t.Fatalf("WAL file sets differ: per-record %v, batch %v", onePaths, batchPaths)
+				t.Fatalf("WAL file sets differ: singletons %v, batch %v", onePaths, batchPaths)
 			}
 			if segBytes == 300 && len(onePaths) < 2 {
 				t.Fatalf("expected mid-batch rotation to produce multiple WALs, got %v", onePaths)
@@ -93,7 +92,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(a, b) {
-					t.Fatalf("WAL %s differs between per-record and batch paths (%d vs %d bytes)",
+					t.Fatalf("WAL %s differs between singleton and one-batch writes (%d vs %d bytes)",
 						filepath.Base(onePaths[i]), len(a), len(b))
 				}
 			}
@@ -108,7 +107,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 				t.Fatalf("recovered %d records from batch-written WALs, want %d", reopened.Len(), len(recs))
 			}
 			for i := int64(0); i < int64(len(recs)); i++ {
-				r, err := reopened.Get(i)
+				r, err := getOne(reopened, i)
 				if err != nil || r.Raw != recs[i].Raw || r.TemplateID != recs[i].TemplateID {
 					t.Fatalf("Get(%d) = %+v, %v; want %+v", i, r, err, recs[i])
 				}
@@ -143,7 +142,7 @@ func TestWALPrePRFormatRecovers(t *testing.T) {
 		t.Fatalf("recovered %d records, want %d", s.Len(), len(raws))
 	}
 	for i, raw := range raws {
-		r, err := s.Get(int64(i))
+		r, err := getOne(s, int64(i))
 		if err != nil || r.Raw != raw || r.TemplateID != uint64(i+1) {
 			t.Fatalf("Get(%d) = %+v, %v", i, r, err)
 		}
@@ -205,13 +204,13 @@ func TestWALTornTailMidBatch(t *testing.T) {
 		t.Fatalf("recovered %d records, want 10 (3 + 5 admitted + 2 post-rotate)", s2.Len())
 	}
 	for i := 0; i < 5; i++ {
-		r, err := s2.Get(int64(3 + i))
+		r, err := getOne(s2, int64(3+i))
 		if err != nil || r.Raw != batch[i].Raw {
 			t.Fatalf("Get(%d) = %+v, %v; want %q", 3+i, r, err, batch[i].Raw)
 		}
 	}
 	// The torn record must not resurface.
-	if hits := s2.Search("record"); len(hits) != 7 {
+	if hits := s2.SearchRange("record", TimeRange{}); len(hits) != 7 {
 		t.Fatalf("Search hits = %d, want 7 (5 admitted + 2 post-rotate)", len(hits))
 	}
 }

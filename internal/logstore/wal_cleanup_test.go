@@ -28,7 +28,7 @@ func TestWALCloseJoinsFlushAndCloseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(time.Unix(0, 0), "buffered, never flushed", 1); err != nil {
+	if _, err := w.appendBatch(time.Unix(0, 0), []BatchRecord{{Raw: "buffered, never flushed", TemplateID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Arm a failing flush AND yank the descriptor: close must now fail

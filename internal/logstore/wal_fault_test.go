@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bytebrain/internal/fsx"
 	"bytebrain/internal/segment"
 )
 
@@ -83,7 +84,7 @@ func TestWALTornWritePoisonsAndRotates(t *testing.T) {
 	s.sealWG.Wait()
 
 	injectTornWrite(s)
-	if _, err := s.Append(ts(5), "this record is torn midway through its payload", 9); err == nil {
+	if _, err := appendOne(s, ts(5), "this record is torn midway through its payload", 9); err == nil {
 		t.Fatal("append over a torn WAL write must fail")
 	}
 	if s.Len() != 5 {
@@ -109,7 +110,7 @@ func TestWALTornWritePoisonsAndRotates(t *testing.T) {
 		t.Fatal("poisoned block not handed to the sealer")
 	}
 	s.mu.Unlock()
-	if err := poisonedWAL.append(ts(99), "late write", 1); err == nil {
+	if _, err := poisonedWAL.appendBatch(ts(99), []BatchRecord{{Raw: "late write", TemplateID: 1}}); err == nil {
 		t.Fatal("poisoned WAL accepted another append")
 	}
 
@@ -128,7 +129,7 @@ func TestWALTornWritePoisonsAndRotates(t *testing.T) {
 		t.Fatalf("recovered %d records, want all 9 admitted", s2.Len())
 	}
 	for i := int64(0); i < 9; i++ {
-		r, err := s2.Get(i)
+		r, err := getOne(s2, i)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
@@ -138,7 +139,7 @@ func TestWALTornWritePoisonsAndRotates(t *testing.T) {
 		}
 	}
 	// The torn record itself must be gone.
-	if hits := s2.Search("torn"); len(hits) != 0 {
+	if hits := s2.SearchRange("torn", TimeRange{}); len(hits) != 0 {
 		t.Fatalf("torn record resurfaced: %v", hits)
 	}
 }
@@ -154,7 +155,7 @@ func TestWALTornWriteSealedRecovery(t *testing.T) {
 	}
 	fillCompacting(t, s, 5, 0)
 	injectTornWrite(s)
-	if _, err := s.Append(ts(5), "torn", 9); err == nil {
+	if _, err := appendOne(s, ts(5), "torn", 9); err == nil {
 		t.Fatal("append over a torn WAL write must fail")
 	}
 	fillCompacting(t, s, 4, 5)
@@ -195,7 +196,7 @@ func TestWALTornWriteSurvivesImmediateClose(t *testing.T) {
 	}
 	fillCompacting(t, s, 5, 0)
 	injectTornWrite(s)
-	if _, err := s.Append(ts(5), "torn", 9); err == nil {
+	if _, err := appendOne(s, ts(5), "torn", 9); err == nil {
 		t.Fatal("append over a torn WAL write must fail")
 	}
 	if err := s.Close(); err != nil {
@@ -216,17 +217,23 @@ func TestWALTornWriteSurvivesImmediateClose(t *testing.T) {
 }
 
 // TestWALTornWriteCloseReportsUnsealed: when the poisoned block's rescue
-// seal ALSO fails (here: an unavailable codec standing in for a full
-// disk), Close must report the data loss instead of returning nil.
+// seal ALSO fails (a full disk: ENOSPC on the segment temp-file create),
+// Close must report the data loss instead of returning nil.
 func TestWALTornWriteCloseReportsUnsealed(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenCompacting("t", CompactConfig{Dir: dir, SegmentBytes: 1 << 30, Codec: segment.CodecZstd})
+	fsys := fsx.NewFaultFS()
+	s, err := OpenCompacting("t", CompactConfig{Dir: "/data", SegmentBytes: 1 << 30, Opts: StoreOptions{FS: fsys}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillCompacting(t, s, 5, 0)
+	fsys.SetHook(func(op fsx.OpInfo) error {
+		if op.Kind == fsx.OpCreate && strings.HasSuffix(op.Path, segment.TmpSuffix) {
+			return fsx.ErrNoSpace
+		}
+		return nil
+	})
 	injectTornWrite(s)
-	if _, err := s.Append(ts(5), "torn", 9); err == nil {
+	if _, err := appendOne(s, ts(5), "torn", 9); err == nil {
 		t.Fatal("append over a torn WAL write must fail")
 	}
 	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "not durable") {
@@ -245,7 +252,7 @@ func TestWALTornFirstRecordDropsEmptyBlock(t *testing.T) {
 	}
 	defer s.Close()
 	injectTornWrite(s)
-	if _, err := s.Append(ts(0), "torn first record", 1); err == nil {
+	if _, err := appendOne(s, ts(0), "torn first record", 1); err == nil {
 		t.Fatal("append over a torn WAL write must fail")
 	}
 	fillCompacting(t, s, 3, 0)
@@ -293,7 +300,7 @@ func TestSealToleratesSealedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The append invariant is restored: new records land normally.
-	off, err := s.Append(ts(10), "after sealed tail", 2)
+	off, err := appendOne(s, ts(10), "after sealed tail", 2)
 	if err != nil || off != 10 {
 		t.Fatalf("Append after sealed tail: %d, %v", off, err)
 	}

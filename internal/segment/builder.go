@@ -20,9 +20,6 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 	if len(records) > maxRecords {
 		return nil, Stats{}, fmt.Errorf("segment: encode: %d records exceeds max %d", len(records), maxRecords)
 	}
-	if codec == CodecZstd {
-		return nil, Stats{}, fmt.Errorf("segment: encode: %s: %w", codec, ErrCodecUnavailable)
-	}
 	first := records[0].Offset
 	for i := range records {
 		if records[i].Offset != first+int64(i) {

@@ -3,7 +3,6 @@ package segment
 import (
 	"bytes"
 	"compress/flate"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -18,15 +17,7 @@ const (
 	CodecNone Codec = 0
 	// CodecFlate compresses the payload with DEFLATE (stdlib flate).
 	CodecFlate Codec = 1
-	// CodecZstd is reserved for zstandard. The toolchain here has no zstd
-	// implementation baked in, so the codec is gated: selecting it
-	// returns ErrCodecUnavailable until an implementation is registered.
-	CodecZstd Codec = 2
 )
-
-// ErrCodecUnavailable is returned when a segment requires a codec this
-// build cannot provide (currently zstd).
-var ErrCodecUnavailable = errors.New("segment: codec not available in this build")
 
 // String implements fmt.Stringer.
 func (c Codec) String() string {
@@ -35,8 +26,6 @@ func (c Codec) String() string {
 		return "none"
 	case CodecFlate:
 		return "flate"
-	case CodecZstd:
-		return "zstd"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
@@ -50,10 +39,8 @@ func ParseCodec(s string) (Codec, error) {
 		return CodecFlate, nil
 	case "none":
 		return CodecNone, nil
-	case "zstd":
-		return CodecZstd, fmt.Errorf("segment: %q: %w (use \"flate\" or \"none\")", s, ErrCodecUnavailable)
 	default:
-		return 0, fmt.Errorf("segment: unknown codec %q (want none, flate or zstd)", s)
+		return 0, fmt.Errorf("segment: unknown codec %q (want none or flate)", s)
 	}
 }
 
@@ -76,7 +63,7 @@ func (c Codec) compress(src []byte) ([]byte, error) {
 		}
 		return buf.Bytes(), nil
 	default:
-		return nil, fmt.Errorf("segment: compress with %s: %w", c, ErrCodecUnavailable)
+		return nil, fmt.Errorf("segment: compress with unknown codec %s", c)
 	}
 }
 
@@ -112,6 +99,6 @@ func (c Codec) decompress(src []byte, rawLen int) ([]byte, error) {
 		}
 		return dst, nil
 	default:
-		return nil, fmt.Errorf("segment: decompress with %s: %w", c, ErrCodecUnavailable)
+		return nil, fmt.Errorf("segment: decompress with unknown codec %s", c)
 	}
 }

@@ -15,7 +15,7 @@ func FuzzOpen(f *testing.F) {
 		}
 	}
 	f.Add([]byte(magic))
-	f.Add([]byte("BBSG\x01\x01\x00\x00garbage"))
+	f.Add([]byte("BBSG\x03\x01\x00\x00garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Open(data)
 		if err != nil {

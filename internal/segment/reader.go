@@ -2,7 +2,6 @@ package segment
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"sort"
@@ -39,12 +38,10 @@ type Reader struct {
 type metaIndex struct {
 	tmplIDs     []uint64 // sorted
 	tmplCounts  []int
-	tmplSamples [][]int64 // up to maxMetaSamples offsets each; empty for v1
-	// Per-template time bounds (v3); for older segments both default to
-	// the block-wide bounds, which is conservative but never wrong.
-	tmplMinT []int64
-	tmplMaxT []int64
-	bloom    bloom
+	tmplSamples [][]int64 // up to maxMetaSamples offsets each
+	tmplMinT    []int64   // per-template time bounds
+	tmplMaxT    []int64
+	bloom       bloom
 }
 
 // Open parses a segment blob. It validates the checksum and metadata but
@@ -56,9 +53,8 @@ func Open(data []byte) (*Reader, error) {
 	if string(data[:4]) != magic {
 		return nil, corruptf("bad magic %q", data[:4])
 	}
-	version := int(data[4])
-	if version < minFormatVersion || version > formatVersion {
-		return nil, corruptf("unsupported version %d", version)
+	if data[4] != formatVersion {
+		return nil, corruptf("unsupported version %d", data[4])
 	}
 	body, crcBytes := data[:len(data)-crcSize], data[len(data)-crcSize:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBytes); got != want {
@@ -70,8 +66,6 @@ func Open(data []byte) (*Reader, error) {
 	}
 	switch r.codec {
 	case CodecNone, CodecFlate:
-	case CodecZstd:
-		return nil, ErrCodecUnavailable
 	default:
 		return nil, corruptf("unknown codec %d", data[5])
 	}
@@ -92,13 +86,13 @@ func Open(data []byte) (*Reader, error) {
 	}
 	meta := data[headerSize : headerSize+metaLen]
 	r.payload = data[headerSize+metaLen : headerSize+metaLen+payLen]
-	if err := r.parseMeta(meta, version); err != nil {
+	if err := r.parseMeta(meta); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *Reader) parseMeta(meta []byte, version int) error {
+func (r *Reader) parseMeta(meta []byte) error {
 	c := &cursor{buf: meta}
 	n, err := c.count(2) // template entries are ≥ 2 bytes each
 	if err != nil {
@@ -111,10 +105,6 @@ func (r *Reader) parseMeta(meta []byte, version int) error {
 	r.meta.tmplMaxT = make([]int64, n)
 	total := 0
 	for i := 0; i < n; i++ {
-		// Pre-v3 metadata carries no per-template time bounds; the
-		// block bounds are the tightest statement it can make.
-		r.meta.tmplMinT[i] = r.minTime
-		r.meta.tmplMaxT[i] = r.maxTime
 		if r.meta.tmplIDs[i], err = c.uvarint(); err != nil {
 			return err
 		}
@@ -130,9 +120,6 @@ func (r *Reader) parseMeta(meta []byte, version int) error {
 		}
 		r.meta.tmplCounts[i] = int(cnt)
 		total += int(cnt)
-		if version < 2 {
-			continue
-		}
 		ns, err := c.uvarint()
 		if err != nil {
 			return err
@@ -158,9 +145,6 @@ func (r *Reader) parseMeta(meta []byte, version int) error {
 			prevOff = off
 		}
 		r.meta.tmplSamples[i] = samples
-		if version < 3 {
-			continue
-		}
 		dMin, err := c.uvarint()
 		if err != nil {
 			return err
@@ -212,9 +196,6 @@ func (r *Reader) Count() int { return r.count }
 // FirstOffset returns the topic offset of the first record.
 func (r *Reader) FirstOffset() int64 { return r.first }
 
-// LastOffset returns the topic offset of the last record.
-func (r *Reader) LastOffset() int64 { return r.first + int64(r.count) - 1 }
-
 // RawBytes returns the total raw line bytes the segment represents.
 func (r *Reader) RawBytes() int64 { return r.raw }
 
@@ -239,43 +220,27 @@ func (r *Reader) HasTemplate(id uint64) bool {
 	return i < len(r.meta.tmplIDs) && r.meta.tmplIDs[i] == id
 }
 
-// TemplateCounts returns the per-template record counts from metadata.
-func (r *Reader) TemplateCounts() map[uint64]int {
-	out := make(map[uint64]int, len(r.meta.tmplIDs))
-	for i, id := range r.meta.tmplIDs {
-		out[id] = r.meta.tmplCounts[i]
-	}
-	return out
-}
-
 // TemplateMeta is the metadata the segment stores for one template: its
 // record count, the first few record offsets as grouped-query samples,
-// and the time bounds of its records (v3; older segments report the
-// block-wide bounds).
+// and the time bounds of its records.
 type TemplateMeta struct {
 	ID      uint64
 	Count   int
-	Samples []int64 // ascending topic offsets, up to 5; empty for v1 segments
+	Samples []int64 // ascending topic offsets, up to 5
 	MinTime time.Time
 	MaxTime time.Time
 }
 
-// TemplateMetas returns every template's metadata entry, ID-ascending —
-// the full grouped-query pushdown surface, answered without touching the
-// payload. The sample slices alias the reader's immutable state; callers
-// must not modify them.
-func (r *Reader) TemplateMetas() []TemplateMeta {
-	out := make([]TemplateMeta, len(r.meta.tmplIDs))
-	for i, id := range r.meta.tmplIDs {
-		out[i] = TemplateMeta{
-			ID:      id,
-			Count:   r.meta.tmplCounts[i],
-			Samples: r.meta.tmplSamples[i],
-			MinTime: time.Unix(0, r.meta.tmplMinT[i]),
-			MaxTime: time.Unix(0, r.meta.tmplMaxT[i]),
-		}
+// templateMeta returns template i's sealed metadata entry. The sample
+// slice aliases the reader's immutable state; callers must not modify it.
+func (r *Reader) templateMeta(i int) TemplateMeta {
+	return TemplateMeta{
+		ID:      r.meta.tmplIDs[i],
+		Count:   r.meta.tmplCounts[i],
+		Samples: r.meta.tmplSamples[i],
+		MinTime: time.Unix(0, r.meta.tmplMinT[i]),
+		MaxTime: time.Unix(0, r.meta.tmplMaxT[i]),
 	}
-	return out
 }
 
 // minNanoTime/maxNanoTime bound the int64-nanosecond epoch (years
@@ -320,32 +285,30 @@ func (r *Reader) OverlapsRange(from, to time.Time) bool {
 	return lo <= hi && r.maxTime >= lo && r.minTime <= hi
 }
 
-// TemplateMetasRange returns per-template metadata restricted to records
-// with timestamps in [from, to] (inclusive; zero times are unbounded),
-// ID-ascending. It is the time-range grouped-query pushdown surface:
+// TemplateMetasRangeInfo returns per-template metadata restricted to
+// records with timestamps in [from, to] (inclusive; zero times are
+// unbounded), ID-ascending. It is the grouped-query pushdown surface:
 //
 //   - a block outside the range returns nothing, metadata-only;
 //   - a block fully inside returns the sealed metadata as-is;
 //   - in a straddling block, templates whose own time bounds fall fully
 //     inside keep their metadata counts/samples, templates fully outside
 //     prune away, and only templates straddling the boundary force one
-//     payload decode (pre-v3 segments lack per-template bounds, so every
-//     surviving template counts as straddling there).
-func (r *Reader) TemplateMetasRange(from, to time.Time) ([]TemplateMeta, error) {
-	metas, _, err := r.TemplateMetasRangeInfo(from, to)
-	return metas, err
-}
-
-// TemplateMetasRangeInfo is TemplateMetasRange plus a decoded flag:
-// false means metadata alone answered the query and the payload was
-// never decompressed — the observable pushdown win.
+//     payload decode.
+//
+// decoded false means metadata alone answered the query and the payload
+// was never decompressed — the observable pushdown win.
 func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, bool, error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
 		return nil, false, nil
 	}
 	if r.minTime >= lo && r.maxTime <= hi {
-		return r.TemplateMetas(), false, nil
+		out := make([]TemplateMeta, len(r.meta.tmplIDs))
+		for i := range out {
+			out[i] = r.templateMeta(i)
+		}
+		return out, false, nil
 	}
 	out := make([]TemplateMeta, 0, len(r.meta.tmplIDs))
 	straddling := make(map[uint64]*TemplateMeta)
@@ -355,13 +318,7 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 			continue
 		}
 		if tMin >= lo && tMax <= hi {
-			out = append(out, TemplateMeta{
-				ID:      id,
-				Count:   r.meta.tmplCounts[i],
-				Samples: r.meta.tmplSamples[i],
-				MinTime: time.Unix(0, tMin),
-				MaxTime: time.Unix(0, tMax),
-			})
+			out = append(out, r.templateMeta(i))
 			continue
 		}
 		straddling[id] = nil
@@ -412,15 +369,9 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 	return out, true, nil
 }
 
-// TemplateCountsRange returns per-template record counts restricted to
-// [from, to], with the same pushdown behavior as TemplateMetasRange.
-func (r *Reader) TemplateCountsRange(from, to time.Time) (map[uint64]int, error) {
-	counts, _, err := r.TemplateCountsRangeInfo(from, to)
-	return counts, err
-}
-
-// TemplateCountsRangeInfo is TemplateCountsRange plus the decoded flag
-// from TemplateMetasRangeInfo.
+// TemplateCountsRangeInfo returns per-template record counts restricted
+// to [from, to], with the pushdown behavior and decoded flag of
+// TemplateMetasRangeInfo.
 func (r *Reader) TemplateCountsRangeInfo(from, to time.Time) (map[uint64]int, bool, error) {
 	metas, decoded, err := r.TemplateMetasRangeInfo(from, to)
 	if err != nil {
@@ -577,72 +528,13 @@ func (r *Reader) Scan(fn func(Record) bool) error {
 	return nil
 }
 
-// ByTemplate returns the topic offsets of records whose template is any
-// of ids. When the metadata rules every id out the payload is never
-// decompressed — the template-pushdown fast path.
-func (r *Reader) ByTemplate(ids ...uint64) ([]int64, error) {
-	any := false
-	for _, id := range ids {
-		if r.HasTemplate(id) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil, nil
-	}
-	want := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	recs, err := r.Records()
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, rec := range recs {
-		if want[rec.TemplateID] {
-			out = append(out, rec.Offset)
-		}
-	}
-	return out, nil
-}
-
-// Search returns the topic offsets of records containing the exact
-// whitespace-delimited token. The bloom filter screens out definite
-// misses without decompressing.
-func (r *Reader) Search(token string) ([]int64, error) {
-	if !r.MayContainToken(token) {
-		return nil, nil
-	}
-	recs, err := r.Records()
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, rec := range recs {
-		for _, tok := range Tokenize(rec.Raw) {
-			if tok == token {
-				out = append(out, rec.Offset)
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-// SearchRange is Search bounded to records with timestamps in
-// [from, to] (inclusive; zero times are unbounded).
-func (r *Reader) SearchRange(token string, from, to time.Time) ([]int64, error) {
-	offs, _, err := r.SearchRangeInfo(token, from, to)
-	return offs, err
-}
-
-// SearchRangeInfo is SearchRange plus a decoded flag: false means the
-// block pruned away on metadata alone — its time bounds fall outside
-// the range, or the bloom filter rules the token out — and the payload
-// was never decompressed. Unlike the grouped-counts pushdown, a
-// surviving block always decodes: token matching needs the raw lines.
+// SearchRangeInfo returns the topic offsets of records containing the
+// exact whitespace-delimited token with timestamps in [from, to]
+// (inclusive; zero times are unbounded). decoded false means the block
+// pruned away on metadata alone — its time bounds fall outside the
+// range, or the bloom filter rules the token out — and the payload was
+// never decompressed. Unlike the grouped-counts pushdown, a surviving
+// block always decodes: token matching needs the raw lines.
 func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, bool, error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
@@ -673,17 +565,11 @@ func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, boo
 	return out, true, nil
 }
 
-// ByTemplateRange is ByTemplate bounded to records with timestamps in
-// [from, to] (inclusive; zero times are unbounded).
-func (r *Reader) ByTemplateRange(from, to time.Time, ids ...uint64) ([]int64, error) {
-	offs, _, err := r.ByTemplateRangeInfo(from, to, ids...)
-	return offs, err
-}
-
-// ByTemplateRangeInfo is ByTemplateRange plus a decoded flag: false
-// means metadata alone pruned the block — time bounds outside the
-// range, no queried template present, or every queried template's own
-// time bounds (v3; block bounds pre-v3) miss the range entirely.
+// ByTemplateRangeInfo returns the topic offsets of records whose template
+// is any of ids with timestamps in [from, to] (inclusive; zero times are
+// unbounded). decoded false means metadata alone pruned the block — time
+// bounds outside the range, no queried template present, or every
+// queried template's own time bounds miss the range entirely.
 func (r *Reader) ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64, bool, error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
@@ -721,38 +607,4 @@ func (r *Reader) ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64
 		out = append(out, rec.Offset)
 	}
 	return out, true, nil
-}
-
-// CountSince counts records with Time >= cut. The metadata time range
-// answers the all-or-nothing cases without decompressing.
-func (r *Reader) CountSince(cut time.Time) (int, error) {
-	if !r.MinTime().Before(cut) {
-		return r.count, nil
-	}
-	if r.MaxTime().Before(cut) {
-		return 0, nil
-	}
-	recs, err := r.Records()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, rec := range recs {
-		if !rec.Time.Before(cut) {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Get returns the record at topic offset off.
-func (r *Reader) Get(off int64) (Record, error) {
-	if off < r.first || off > r.LastOffset() {
-		return Record{}, fmt.Errorf("segment: offset %d outside [%d,%d]", off, r.first, r.LastOffset())
-	}
-	recs, err := r.Records()
-	if err != nil {
-		return Record{}, err
-	}
-	return recs[off-r.first], nil
 }

@@ -45,17 +45,13 @@ type Record struct {
 const (
 	// magic identifies a segment file.
 	magic = "BBSG"
-	// formatVersion is bumped on any incompatible layout change.
-	// Version 2 added per-template sample offsets to the metadata
-	// section so grouped queries return example offsets without
-	// decompressing the payload. Version 3 added per-template min/max
-	// timestamps so time-range queries prune templates (not just whole
-	// blocks) without decompressing. Version 1 and 2 segments are still
-	// readable: v1 reports no samples, and both fall back to the
-	// block-wide time bounds per template (conservative, never wrong).
+	// formatVersion is bumped on any incompatible layout change; Open
+	// accepts exactly this version. Version 2 added per-template sample
+	// offsets to the metadata section so grouped queries return example
+	// offsets without decompressing the payload; version 3 added
+	// per-template min/max timestamps so time-range queries prune
+	// templates (not just whole blocks) without decompressing.
 	formatVersion = 3
-	// minFormatVersion is the oldest version Open still accepts.
-	minFormatVersion = 1
 	// maxMetaSamples is how many example record offsets the metadata
 	// stores per template — matching the query layer's per-row sample
 	// budget.
@@ -79,7 +75,7 @@ func splitColumns(raw string) []string { return strings.Split(raw, " ") }
 
 // Tokenize is the single search tokenization of the segment layer: the
 // whitespace-delimited tokens of a raw line. The bloom filter built at
-// seal time, Reader.Search at query time, and the hot-topic token index
+// seal time, Reader.SearchRangeInfo at query time, and the hot-topic token index
 // in logstore all tokenize through this one function — a divergence
 // between the write and read sides would produce silent false negatives
 // (the bloom filter would screen out blocks that do contain the token

@@ -129,8 +129,8 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 	if _, _, err := Encode(recs, CodecFlate); err == nil {
 		t.Fatal("Encode with non-dense offsets should fail")
 	}
-	if _, _, err := Encode(sampleRecords(3, 0), CodecZstd); err == nil {
-		t.Fatal("Encode with gated zstd codec should fail")
+	if _, _, err := Encode(sampleRecords(3, 0), Codec(2)); err == nil {
+		t.Fatal("Encode with an unknown codec should fail")
 	}
 }
 
@@ -139,41 +139,40 @@ func TestTemplatePushdown(t *testing.T) {
 	reads := r.BlockReads() // roundTrip decoded once
 
 	// Absent template: metadata answers, payload untouched.
-	offs, err := r.ByTemplate(999)
+	offs, decoded, err := r.ByTemplateRangeInfo(time.Time{}, time.Time{}, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offs != nil {
-		t.Fatalf("ByTemplate(999) = %v, want nil", offs)
+	if offs != nil || decoded {
+		t.Fatalf("ByTemplateRangeInfo(999) = %v, decoded=%v; want nil from metadata", offs, decoded)
 	}
 	if r.BlockReads() != reads {
-		t.Fatalf("ByTemplate on absent template decompressed the block (%d -> %d reads)", reads, r.BlockReads())
+		t.Fatalf("absent template decompressed the block (%d -> %d reads)", reads, r.BlockReads())
 	}
 
 	// Present template: decompresses once, returns exact offsets.
-	offs, err = r.ByTemplate(101)
+	offs, decoded, err = r.ByTemplateRangeInfo(time.Time{}, time.Time{}, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(offs) != 100 {
-		t.Fatalf("ByTemplate(101) returned %d offsets, want 100", len(offs))
+	if len(offs) != 100 || !decoded {
+		t.Fatalf("ByTemplateRangeInfo(101) returned %d offsets (decoded=%v), want 100", len(offs), decoded)
 	}
 	if r.BlockReads() != reads+1 {
-		t.Fatalf("ByTemplate on present template: %d reads, want %d", r.BlockReads(), reads+1)
+		t.Fatalf("present template: %d reads, want %d", r.BlockReads(), reads+1)
 	}
 	if !r.HasTemplate(102) || r.HasTemplate(7) {
 		t.Fatal("HasTemplate metadata wrong")
 	}
-	counts := r.TemplateCounts()
-	if counts[101] != 100 || counts[102] != 100 || counts[103] != 100 {
-		t.Fatalf("TemplateCounts = %v", counts)
+	counts, decoded, err := r.TemplateCountsRangeInfo(time.Time{}, time.Time{})
+	if err != nil || decoded || counts[101] != 100 || counts[102] != 100 || counts[103] != 100 {
+		t.Fatalf("TemplateCountsRangeInfo = %v, decoded=%v, %v", counts, decoded, err)
 	}
 }
 
 func TestTokenSearchBloom(t *testing.T) {
 	r := roundTrip(t, sampleRecords(300, 50), CodecFlate)
-	reads := r.BlockReads()
-	offs, err := r.Search("terminating")
+	offs, _, err := r.SearchRangeInfo("terminating", time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,29 +182,43 @@ func TestTokenSearchBloom(t *testing.T) {
 	// A token that cannot be present: bloom must usually skip the decode.
 	// (Bloom filters allow false positives, so assert correctness of the
 	// result, and only note the common fast path.)
-	offs, err = r.Search("definitely-not-a-token-xyzzy")
+	offs, _, err = r.SearchRangeInfo("definitely-not-a-token-xyzzy", time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(offs) != 0 {
 		t.Fatalf("Search(absent) = %v, want none", offs)
 	}
-	_ = reads
+}
+
+// countSince counts records with Time >= cut (inclusive) the way the
+// store does: per-template counts over the open-ended range from cut.
+func countSince(t *testing.T, r *Reader, cut time.Time) int {
+	t.Helper()
+	counts, _, err := r.TemplateCountsRangeInfo(cut, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return n
 }
 
 func TestCountSincePushdown(t *testing.T) {
 	r := roundTrip(t, sampleRecords(100, 0), CodecFlate)
 	reads := r.BlockReads()
-	if n, _ := r.CountSince(ts(0)); n != 100 {
+	if n := countSince(t, r, ts(0)); n != 100 {
 		t.Fatalf("CountSince(min) = %d, want 100", n)
 	}
-	if n, _ := r.CountSince(ts(1000)); n != 0 {
+	if n := countSince(t, r, ts(1000)); n != 0 {
 		t.Fatalf("CountSince(beyond max) = %d, want 0", n)
 	}
 	if r.BlockReads() != reads {
 		t.Fatal("all-or-nothing CountSince should not decompress")
 	}
-	if n, _ := r.CountSince(ts(60)); n != 40 {
+	if n := countSince(t, r, ts(60)); n != 40 {
 		t.Fatalf("CountSince(mid) = %d, want 40", n)
 	}
 	if r.BlockReads() != reads+1 {
@@ -215,16 +228,16 @@ func TestCountSincePushdown(t *testing.T) {
 	// path (every record has Time >= MinTime), and cut == MaxTime must
 	// NOT take the all-out fast path — the record at MaxTime itself
 	// still counts. Both must agree with the linear scan.
-	if n, _ := r.CountSince(r.MinTime()); n != 100 {
+	if n := countSince(t, r, r.MinTime()); n != 100 {
 		t.Fatalf("CountSince(MinTime) = %d, want 100", n)
 	}
-	if n, _ := r.CountSince(r.MaxTime()); n != 1 {
+	if n := countSince(t, r, r.MaxTime()); n != 1 {
 		t.Fatalf("CountSince(MaxTime) = %d, want 1", n)
 	}
-	if n, _ := r.CountSince(r.MaxTime().Add(time.Nanosecond)); n != 0 {
+	if n := countSince(t, r, r.MaxTime().Add(time.Nanosecond)); n != 0 {
 		t.Fatalf("CountSince(MaxTime+1ns) = %d, want 0", n)
 	}
-	if n, _ := r.CountSince(r.MinTime().Add(-time.Nanosecond)); n != 100 {
+	if n := countSince(t, r, r.MinTime().Add(-time.Nanosecond)); n != 100 {
 		t.Fatalf("CountSince(MinTime-1ns) = %d, want 100", n)
 	}
 }
@@ -264,7 +277,7 @@ func TestOutOfOrderTimesWithinBlock(t *testing.T) {
 				want++
 			}
 		}
-		if n, _ := r.CountSince(ts(cut)); n != want {
+		if n := countSince(t, r, ts(cut)); n != want {
 			t.Fatalf("CountSince(ts(%d)) = %d, want %d", cut, n, want)
 		}
 	}
@@ -339,9 +352,9 @@ func TestWriteOpenFile(t *testing.T) {
 	if r.Count() != 120 || r.FirstOffset() != 7 {
 		t.Fatalf("reopened segment count=%d first=%d", r.Count(), r.FirstOffset())
 	}
-	rec, err := r.Get(7 + 64)
-	if err != nil || rec.Raw != recs[64].Raw {
-		t.Fatalf("Get = %+v, %v", rec, err)
+	got, err := r.Records()
+	if err != nil || got[64].Offset != 7+64 || got[64].Raw != recs[64].Raw {
+		t.Fatalf("Records()[64] = %+v, %v", got[64], err)
 	}
 }
 
@@ -352,12 +365,22 @@ func TestParseCodec(t *testing.T) {
 			t.Fatalf("ParseCodec(%q) = %v, %v", s, c, err)
 		}
 	}
-	if _, err := ParseCodec("zstd"); err == nil {
-		t.Fatal("zstd must be gated in this build")
+	for _, s := range []string{"zstd", "lz77"} {
+		if _, err := ParseCodec(s); err == nil {
+			t.Fatalf("unknown codec %q must error", s)
+		}
 	}
-	if _, err := ParseCodec("lz77"); err == nil {
-		t.Fatal("unknown codec must error")
+}
+
+// allMetas returns every template's sealed metadata (the unbounded
+// range), which must come from metadata alone.
+func allMetas(t *testing.T, r *Reader) []TemplateMeta {
+	t.Helper()
+	metas, decoded, err := r.TemplateMetasRangeInfo(time.Time{}, time.Time{})
+	if err != nil || decoded {
+		t.Fatalf("unbounded TemplateMetasRangeInfo: decoded=%v, err=%v; want a metadata-only answer", decoded, err)
 	}
+	return metas
 }
 
 func TestTemplateMetaSamples(t *testing.T) {
@@ -371,14 +394,17 @@ func TestTemplateMetaSamples(t *testing.T) {
 			want[rec.TemplateID] = append(want[rec.TemplateID], rec.Offset)
 		}
 	}
-	metas := r.TemplateMetas()
+	metas := allMetas(t, r)
 	if len(metas) != len(want) {
-		t.Fatalf("TemplateMetas returned %d entries, want %d", len(metas), len(want))
+		t.Fatalf("TemplateMetasRangeInfo returned %d entries, want %d", len(metas), len(want))
 	}
-	counts := r.TemplateCounts()
+	counts, _, err := r.TemplateCountsRangeInfo(time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tm := range metas {
 		if tm.Count != counts[tm.ID] {
-			t.Errorf("template %d count %d != TemplateCounts %d", tm.ID, tm.Count, counts[tm.ID])
+			t.Errorf("template %d count %d != TemplateCountsRangeInfo %d", tm.ID, tm.Count, counts[tm.ID])
 		}
 		if fmt.Sprint(tm.Samples) != fmt.Sprint(want[tm.ID]) {
 			t.Errorf("template %d samples %v, want %v", tm.ID, tm.Samples, want[tm.ID])
@@ -386,126 +412,11 @@ func TestTemplateMetaSamples(t *testing.T) {
 	}
 	// Reading metadata must not decompress the payload.
 	if got := r.BlockReads() - baseReads; got != 0 {
-		t.Errorf("TemplateMetas paid %d block reads", got)
+		t.Errorf("unbounded metadata queries paid %d block reads", got)
 	}
 }
 
-// downgradeSegment rewrites a current-version blob's metadata to an older
-// version's layout (v2 drops per-template time bounds, v1 additionally
-// drops sample offsets), recomputing the header length and CRC. It stands
-// in for real old segments so reader compatibility stays locked in.
-func downgradeSegment(t *testing.T, blob []byte, version int) []byte {
-	t.Helper()
-	metaLen := int(binary.LittleEndian.Uint32(blob[52:56]))
-	meta := blob[headerSize : headerSize+metaLen]
-	payload := blob[headerSize+metaLen : len(blob)-crcSize]
-	c := &cursor{buf: meta}
-	n, err := c.count(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func() uint64 {
-		v, err := c.uvarint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	var newMeta []byte
-	newMeta = appendUvarint(newMeta, uint64(n))
-	for i := 0; i < n; i++ {
-		id, cnt, ns := read(), read(), read()
-		deltas := make([]uint64, ns)
-		for j := range deltas {
-			deltas[j] = read()
-		}
-		read() // per-template min delta
-		read() // per-template span
-		newMeta = appendUvarint(newMeta, id)
-		newMeta = appendUvarint(newMeta, cnt)
-		if version >= 2 {
-			newMeta = appendUvarint(newMeta, ns)
-			for _, d := range deltas {
-				newMeta = appendUvarint(newMeta, d)
-			}
-		}
-	}
-	newMeta = append(newMeta, meta[c.pos:]...) // bloom section is unchanged
-	out := make([]byte, 0, headerSize+len(newMeta)+len(payload)+crcSize)
-	out = append(out, blob[:headerSize]...)
-	out[4] = byte(version)
-	binary.LittleEndian.PutUint32(out[52:56], uint32(len(newMeta)))
-	out = append(out, newMeta...)
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	return out
-}
-
-// TestVersionCompat: v1 and v2 segments stay readable next to v3 — full
-// record round-trip, metadata degradation (v1: no samples; v1/v2: template
-// time bounds widen to the block bounds), and range queries stay exact by
-// falling back to payload decodes.
-func TestVersionCompat(t *testing.T) {
-	recs := sampleRecords(120, 500)
-	blob, _, err := Encode(recs, CodecFlate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []int{1, 2} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			old := downgradeSegment(t, blob, version)
-			r, err := Open(old)
-			if err != nil {
-				t.Fatalf("Open(v%d): %v", version, err)
-			}
-			got, err := r.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range recs {
-				if got[i].Raw != recs[i].Raw || got[i].TemplateID != recs[i].TemplateID ||
-					got[i].Offset != recs[i].Offset || !got[i].Time.Equal(recs[i].Time) {
-					t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
-				}
-			}
-			for _, tm := range r.TemplateMetas() {
-				if version < 2 && len(tm.Samples) != 0 {
-					t.Errorf("v1 template %d has samples %v", tm.ID, tm.Samples)
-				}
-				if version >= 2 && len(tm.Samples) == 0 {
-					t.Errorf("v2 template %d lost its samples", tm.ID)
-				}
-				if !tm.MinTime.Equal(r.MinTime()) || !tm.MaxTime.Equal(r.MaxTime()) {
-					t.Errorf("v%d template %d bounds [%v,%v], want block bounds [%v,%v]",
-						version, tm.ID, tm.MinTime, tm.MaxTime, r.MinTime(), r.MaxTime())
-				}
-			}
-			// A mid-block range must still count exactly (via payload
-			// decode, since old metadata cannot prune templates).
-			metas, err := r.TemplateMetasRange(ts(30), ts(89))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[uint64]int{}
-			for _, rec := range recs {
-				if !rec.Time.Before(ts(30)) && !rec.Time.After(ts(89)) {
-					want[rec.TemplateID]++
-				}
-			}
-			for _, tm := range metas {
-				if tm.Count != want[tm.ID] {
-					t.Errorf("v%d range count template %d = %d, want %d", version, tm.ID, tm.Count, want[tm.ID])
-				}
-				delete(want, tm.ID)
-			}
-			if len(want) != 0 {
-				t.Errorf("v%d range missed templates %v", version, want)
-			}
-		})
-	}
-}
-
-// TestTemplateTimeBounds: v3 metadata carries exact per-template min/max
+// TestTemplateTimeBounds: metadata carries exact per-template min/max
 // timestamps.
 func TestTemplateTimeBounds(t *testing.T) {
 	recs := sampleRecords(90, 0)
@@ -519,7 +430,7 @@ func TestTemplateTimeBounds(t *testing.T) {
 			wantMax[rec.TemplateID] = rec.Time
 		}
 	}
-	for _, tm := range r.TemplateMetas() {
+	for _, tm := range allMetas(t, r) {
 		if !tm.MinTime.Equal(wantMin[tm.ID]) || !tm.MaxTime.Equal(wantMax[tm.ID]) {
 			t.Errorf("template %d bounds [%v,%v], want [%v,%v]",
 				tm.ID, tm.MinTime, tm.MaxTime, wantMin[tm.ID], wantMax[tm.ID])
@@ -544,22 +455,27 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	}
 	r := roundTrip(t, recs, CodecFlate)
 	reads := r.BlockReads()
+	// The decoded flag is asserted through BlockReads below.
+	metasRange := func(from, to time.Time) ([]TemplateMeta, error) {
+		metas, _, err := r.TemplateMetasRangeInfo(from, to)
+		return metas, err
+	}
 
 	// Disjoint range: metadata-only, nothing returned.
-	if metas, err := r.TemplateMetasRange(ts(1000), ts(2000)); err != nil || metas != nil {
+	if metas, err := metasRange(ts(1000), ts(2000)); err != nil || metas != nil {
 		t.Fatalf("disjoint range = %v, %v", metas, err)
 	}
 	if !r.OverlapsRange(ts(0), ts(99)) || r.OverlapsRange(ts(100), ts(200)) {
 		t.Fatal("OverlapsRange metadata answers wrong")
 	}
 	// Covering range: metadata-only, full answer.
-	metas, err := r.TemplateMetasRange(ts(0), ts(99))
+	metas, err := metasRange(ts(0), ts(99))
 	if err != nil || len(metas) != 2 || metas[0].Count != 50 || metas[1].Count != 50 {
 		t.Fatalf("covering range = %+v, %v", metas, err)
 	}
 	// Straddling block, but both templates decidable from their own
 	// bounds: template 1 prunes away, template 2 is fully inside.
-	metas, err = r.TemplateMetasRange(ts(50), ts(200))
+	metas, err = metasRange(ts(50), ts(200))
 	if err != nil || len(metas) != 1 || metas[0].ID != 2 || metas[0].Count != 50 {
 		t.Fatalf("per-template prune = %+v, %v", metas, err)
 	}
@@ -568,7 +484,7 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	}
 	// A range splitting template 2 itself: one decode, exact counts and
 	// in-range samples.
-	metas, err = r.TemplateMetasRange(ts(60), ts(69))
+	metas, err = metasRange(ts(60), ts(69))
 	if err != nil || len(metas) != 1 || metas[0].ID != 2 || metas[0].Count != 10 {
 		t.Fatalf("straddling template = %+v, %v", metas, err)
 	}
@@ -582,14 +498,14 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 		t.Fatalf("straddling range paid %d reads, want 1", r.BlockReads()-reads)
 	}
 	// Unbounded sides.
-	if metas, _ := r.TemplateMetasRange(time.Time{}, time.Time{}); len(metas) != 2 {
+	if metas, _ := metasRange(time.Time{}, time.Time{}); len(metas) != 2 {
 		t.Fatalf("unbounded range = %+v", metas)
 	}
-	if metas, _ := r.TemplateMetasRange(ts(50), time.Time{}); len(metas) != 1 || metas[0].ID != 2 {
+	if metas, _ := metasRange(ts(50), time.Time{}); len(metas) != 1 || metas[0].ID != 2 {
 		t.Fatalf("from-only range = %+v", metas)
 	}
 	// Inverted range is empty, not an error.
-	if metas, err := r.TemplateMetasRange(ts(80), ts(20)); err != nil || metas != nil {
+	if metas, err := metasRange(ts(80), ts(20)); err != nil || metas != nil {
 		t.Fatalf("inverted range = %v, %v", metas, err)
 	}
 	// Bounds outside the int64-nanosecond epoch (years 1678–2262) must
@@ -597,25 +513,25 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	// year 1000 matches everything, and a [1000, 3000] range covers all.
 	y1000 := time.Date(1000, 1, 1, 0, 0, 0, 0, time.UTC)
 	y3000 := time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
-	if metas, err := r.TemplateMetasRange(y3000, time.Time{}); err != nil || metas != nil {
+	if metas, err := metasRange(y3000, time.Time{}); err != nil || metas != nil {
 		t.Fatalf("far-future from = %v, %v, want nothing", metas, err)
 	}
 	if r.OverlapsRange(y3000, time.Time{}) {
 		t.Fatal("OverlapsRange(year 3000, ∞) = true")
 	}
-	if metas, _ := r.TemplateMetasRange(y1000, time.Time{}); len(metas) != 2 {
+	if metas, _ := metasRange(y1000, time.Time{}); len(metas) != 2 {
 		t.Fatalf("far-past from = %+v, want both templates", metas)
 	}
-	if metas, _ := r.TemplateMetasRange(y1000, y3000); len(metas) != 2 {
+	if metas, _ := metasRange(y1000, y3000); len(metas) != 2 {
 		t.Fatalf("epoch-spanning range = %+v, want both templates", metas)
 	}
-	if metas, err := r.TemplateMetasRange(time.Time{}, y1000); err != nil || metas != nil {
+	if metas, err := metasRange(time.Time{}, y1000); err != nil || metas != nil {
 		t.Fatalf("far-past to = %v, %v, want nothing", metas, err)
 	}
 }
 
 // TestSearchTokenizationRoundTrip locks write-path (bloom) and read-path
-// (Search) tokenization together: every token the shared tokenizer
+// (SearchRangeInfo) tokenization together: every token the shared tokenizer
 // produces from a stored line must be findable, including lines whose
 // whitespace is not single spaces (tabs, runs of spaces) where a
 // Fields/Split mismatch would silently drop results.
@@ -638,7 +554,7 @@ func TestSearchTokenizationRoundTrip(t *testing.T) {
 			if !r.MayContainToken(tok) {
 				t.Fatalf("bloom misses token %q of stored line %q", tok, raw)
 			}
-			offs, err := r.Search(tok)
+			offs, _, err := r.SearchRangeInfo(tok, time.Time{}, time.Time{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -656,18 +572,35 @@ func TestSearchTokenizationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnknownVersion: Open reads exactly formatVersion — the
+// retired v1/v2 layouts and a future v4 are refused, as is a header
+// naming a codec this build does not know (2 was once reserved for
+// zstd). The CRC is recomputed so only the header check can fire.
 func TestOpenRejectsUnknownVersion(t *testing.T) {
-	recs := sampleRecords(8, 0)
-	blob, _, err := Encode(recs, CodecNone)
+	good, _, err := Encode(sampleRecords(8, 0), CodecNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[4] = formatVersion + 1
-	// Recompute the CRC so only the version check can reject it.
-	body := blob[:len(blob)-crcSize]
-	binary.LittleEndian.PutUint32(blob[len(blob)-crcSize:], crc32.ChecksumIEEE(body))
-	if _, err := Open(blob); err == nil {
-		t.Fatal("future format version accepted")
+	for _, tc := range []struct {
+		name    string
+		pos     int
+		val     byte
+		wantErr string
+	}{
+		{"v1", 4, 1, "unsupported version 1"},
+		{"v2", 4, 2, "unsupported version 2"},
+		{"v4", 4, formatVersion + 1, "unsupported version 4"},
+		{"codec-2", 5, 2, "unknown codec 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := append([]byte(nil), good...)
+			blob[tc.pos] = tc.val
+			body := blob[:len(blob)-crcSize]
+			binary.LittleEndian.PutUint32(blob[len(blob)-crcSize:], crc32.ChecksumIEEE(body))
+			if _, err := Open(blob); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Open = %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

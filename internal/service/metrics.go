@@ -234,7 +234,7 @@ func (t *topicMetrics) queriesTotal() int64 {
 // bindTopicGauges wires the func-backed per-topic gauges to the live
 // topic state; they read current values at scrape time, costing nothing
 // between scrapes.
-func (m *serviceMetrics) bindTopicGauges(s *Service, st *topicState) {
+func (m *serviceMetrics) bindTopicGauges(st *topicState) {
 	m.topicRecords.Bind(func() int64 { return int64(st.store.Len()) }, st.name)
 	m.topicBytes.Bind(func() int64 { return st.store.Bytes() }, st.name)
 	m.topicTemplates.Bind(func() int64 {
@@ -249,7 +249,7 @@ func (m *serviceMetrics) bindTopicGauges(s *Service, st *topicState) {
 		return int64(len(st.buffer))
 	}, st.name)
 	m.topicTrainings.Bind(func() int64 { return st.trainings.Load() }, st.name)
-	if cs, ok := st.store.(logstore.Compactor); ok && s.cfg.SegmentBytes > 0 {
+	if cs, ok := st.store.(logstore.Compactor); ok {
 		m.topicSegments.Bind(func() int64 { return int64(cs.SegmentStats().Segments) }, st.name)
 		m.blocksRead.Bind(func() int64 { return cs.SegmentStats().BlockReads }, st.name)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -94,12 +95,108 @@ func TestServicePersistedFilesOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		filepath.Join(dir, "app", "records", "segment-000000.log"),
+		filepath.Join(dir, "app", "records", "wal-000000.log"),
 		filepath.Join(dir, "app", "models", "model-000000.bin"),
 	} {
 		if !fileExists(want) {
 			t.Errorf("expected persisted file %s", want)
 		}
+	}
+}
+
+// TestDataDirAloneIsCompacting: DataDir without SegmentBytes selects the
+// compacting segment store at its default seal size, so a -data-dir-only
+// service compacts on demand, reports segment stats and gauges, survives
+// a restart, and writes wal-*.log / seg-*.bbsg — never the retired plain
+// disk store's segment-*.log.
+func TestDataDirAloneIsCompacting(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.DataDir = dir
+	cfg.TrainVolume = 1 << 30
+	s := New(cfg)
+	if err := s.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest("app", genLines(200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact("app"); err != nil {
+		t.Fatalf("Compact on a DataDir-only topic: %v", err)
+	}
+	if err := s.Ingest("app", genLines(50, 2)); err != nil { // stays hot, in the WAL
+		t.Fatal(err)
+	}
+	stats, err := s.TopicStats("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Segments != 1 || stats.SegmentRecords != 200 || stats.SegmentCompressedBytes == 0 || stats.SegmentCodec != "flate" {
+		t.Fatalf("segment stats hidden or wrong after Compact: %+v", stats)
+	}
+	if _, vals := scrape(t, s.Handler()); vals[`bb_topic_segments{topic="app"}`] != 1 {
+		t.Errorf(`bb_topic_segments{topic="app"} = %v, want 1`, vals[`bb_topic_segments{topic="app"}`])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	records := filepath.Join(dir, "app", "records")
+	for pattern, want := range map[string]bool{"seg-*.bbsg": true, "wal-*.log": true, "segment-*.log": false} {
+		got, err := filepath.Glob(filepath.Join(records, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (len(got) > 0) != want {
+			t.Errorf("%s: found %v, want present=%v", pattern, got, want)
+		}
+	}
+
+	s2 := New(cfg)
+	defer s2.Close()
+	if err := s2.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s2.TopicStats("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Records != 250 || after.Segments != 1 {
+		t.Fatalf("after restart: %d records / %d segments, want 250 / 1", after.Records, after.Segments)
+	}
+}
+
+// TestLegacyDiskTopicDirRefused: a topic directory written by the retired
+// plain disk store (segment-NNNNNN.log record files) must fail CreateTopic
+// loudly, unsharded and sharded, instead of opening empty over it.
+func TestLegacyDiskTopicDirRefused(t *testing.T) {
+	for name, tc := range map[string]struct {
+		shards int
+		file   string
+	}{
+		"unsharded": {1, filepath.Join("app", "records", "segment-000000.log")},
+		"sharded":   {2, filepath.Join("app", "records", "shard-001", "segment-000000.log")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.DataDir = t.TempDir()
+			cfg.TopicShards = tc.shards
+			path := filepath.Join(cfg.DataDir, tc.file)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			// One record in the legacy format: time, template ID, raw length, raw.
+			rec := append(make([]byte, 16), 3, 0, 0, 0, 'o', 'l', 'd')
+			if err := os.WriteFile(path, rec, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := New(cfg)
+			defer s.Close()
+			err := s.CreateTopic("app")
+			if err == nil || !strings.Contains(err.Error(), "segment-000000.log") {
+				t.Fatalf("CreateTopic over a legacy disk-topic dir = %v, want a refusal naming the file", err)
+			}
+		})
 	}
 }
 

@@ -53,19 +53,22 @@ type Config struct {
 	// DefaultThreshold is the query threshold when the caller does not
 	// specify one (default 0.7).
 	DefaultThreshold float64
-	// DataDir, when set, persists every topic to disk (append-only
-	// segments plus model snapshots) under DataDir/<topic>; topics
-	// recover on restart. Empty keeps everything in memory.
+	// DataDir, when set, persists every topic under DataDir/<topic> in
+	// the template-aware compacting segment store (a write-ahead log for
+	// the hot block plus sealed compressed segments, and model
+	// snapshots); topics recover on restart. Empty keeps everything in
+	// memory.
 	DataDir string
-	// SegmentBytes > 0 enables the template-aware compacting segment
-	// store: hot writes stay in memory and a background compactor seals
-	// blocks of this raw size into compressed columnar segments
-	// (on disk under DataDir when set, otherwise as in-memory blobs).
-	// Grouped queries push template IDs down to segment metadata and
-	// skip non-matching blocks entirely.
+	// SegmentBytes is the raw size at which the compacting segment store
+	// seals its hot block: hot writes stay in memory and a background
+	// compactor seals blocks of this size into compressed columnar
+	// segments. 0 means the 4 MiB default when DataDir is set and a
+	// plain in-memory topic otherwise; > 0 without DataDir keeps the
+	// sealed segments as in-memory blobs. Grouped queries push template
+	// IDs down to segment metadata and skip non-matching blocks entirely.
 	SegmentBytes int64
 	// SegmentCodec selects the sealed-payload compression: "flate"
-	// (default), "none", or "zstd" (gated — unavailable in this build).
+	// (default) or "none".
 	SegmentCodec string
 	// SnapshotRetain > 0 bounds the internal topic: only the newest
 	// SnapshotRetain model snapshots are kept per topic (plus periodic
@@ -401,28 +404,24 @@ func (s *Service) CreateTopic(name string) error {
 	}
 	st.wg.Add(1)
 	go s.trainLoop(st)
-	s.met.bindTopicGauges(s, st)
+	s.met.bindTopicGauges(st)
 	s.topics[name] = st
 	return nil
 }
 
 // openTopicStore builds one topic's record store from the config knobs:
 // sharded when TopicShards > 1 (each shard the kind the remaining knobs
-// select), compacting-segment when SegmentBytes > 0, disk-backed when
-// DataDir is set, in-memory otherwise. Persistent stores recover
-// existing on-disk state.
+// select), in-memory when neither DataDir nor SegmentBytes is set, the
+// compacting segment store otherwise. Persistent stores recover existing
+// on-disk state.
 func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.Store, error) {
 	dir := ""
 	if s.cfg.DataDir != "" {
 		dir = filepath.Join(s.cfg.DataDir, name, "records")
 	}
-	var codec segment.Codec
-	if s.cfg.SegmentBytes > 0 {
-		c, err := segment.ParseCodec(s.cfg.SegmentCodec)
-		if err != nil {
-			return nil, fmt.Errorf("service: topic %q: %w", name, err)
-		}
-		codec = c
+	codec, err := segment.ParseCodec(s.cfg.SegmentCodec)
+	if err != nil {
+		return nil, fmt.Errorf("service: topic %q: %w", name, err)
 	}
 	opts := logstore.StoreOptions{
 		Metrics:           lm,
@@ -747,8 +746,7 @@ type Stats struct {
 	DegradedReason string `json:",omitempty"`
 	DegradedShards int    `json:",omitempty"`
 	SealRetries    int64  `json:",omitempty"`
-	// Segment-store compression counters, zero unless Config.SegmentBytes
-	// enabled the compacting store for this topic.
+	// Segment-store compression counters, zero for in-memory topics.
 	Segments               int     `json:",omitempty"`
 	SegmentRecords         int     `json:",omitempty"`
 	SegmentRawBytes        int64   `json:",omitempty"`
@@ -811,7 +809,7 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 			}
 		}
 	}
-	if cs, ok := st.store.(logstore.Compactor); ok && s.cfg.SegmentBytes > 0 {
+	if cs, ok := st.store.(logstore.Compactor); ok {
 		sst := cs.SegmentStats()
 		stats.Segments = sst.Segments
 		stats.SegmentRecords = sst.SealedRecords
@@ -859,15 +857,15 @@ func (s *Service) DegradedTopics() map[string]string {
 
 // Compact forces the topic's current hot block to seal into a compressed
 // segment and waits for the compactor to drain. It errors when the topic
-// does not use the segment store (Config.SegmentBytes unset).
+// does not use the segment store (neither DataDir nor SegmentBytes set).
 func (s *Service) Compact(topicName string) error {
 	st, err := s.topic(topicName)
 	if err != nil {
 		return err
 	}
 	cs, ok := st.store.(logstore.Compactor)
-	if !ok || s.cfg.SegmentBytes <= 0 {
-		return fmt.Errorf("service: topic %q has no segment store (set SegmentBytes)", topicName)
+	if !ok {
+		return fmt.Errorf("service: topic %q has no segment store (set DataDir or SegmentBytes)", topicName)
 	}
 	if err := cs.Seal(); err != nil {
 		return err
