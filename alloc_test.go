@@ -1,10 +1,11 @@
-// Allocation-regression budgets for the ingestion hot path. The CI
-// allocation smoke step runs these with BYTEBRAIN_ALLOC_BUDGET=1; they
-// measure the steady-state paths via testing.Benchmark and fail when
-// allocs/op exceeds the checked-in budgets below. The budgets carry ~2x
+// Allocation-regression budgets for the ingestion hot path and for
+// training. The CI allocation smoke step runs these with
+// BYTEBRAIN_ALLOC_BUDGET=1; they measure the steady-state paths via
+// testing.Benchmark and fail when allocs/op (heap bytes per line, for
+// training) exceeds the checked-in budgets below. The budgets carry ~2x
 // headroom over currently measured values, so they catch a regression to
-// per-line allocation (the pre-group-commit shape) without flaking on
-// map-growth noise.
+// per-line allocation (the pre-group-commit shape) or to per-pass
+// clustering statistics without flaking on map-growth noise.
 package bytebrain_test
 
 import (
@@ -27,6 +28,12 @@ const (
 	// call (currently 1–2: the token slice, plus the masked line when a
 	// variable was replaced; the template text is cached in the index).
 	allocBudgetPerMatch = 3
+	// allocBudgetTrainBytesPerLine bounds heap bytes per line of one
+	// Train over the 9262-line LogHub-2.0 BGL cut (scale 0.002, seed 1):
+	// currently ~660 B/line, most of it preprocessing and dedup. The
+	// clusterer that rebuilt per-position token maps after every pass
+	// measured ~5000.
+	allocBudgetTrainBytesPerLine = 1300
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -157,6 +164,29 @@ func TestAllocBudget(t *testing.T) {
 			if got > tc.budget {
 				t.Fatalf("variable masking allocates: %.2f allocs/line exceeds budget %.0f on %q", got, tc.budget, tc.line)
 			}
+		}
+	})
+
+	t.Run("train", func(t *testing.T) {
+		bgl, err := bytebrain.GenerateLogHub2("BGL", 0.002, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parser := bytebrain.New(bytebrain.Options{Seed: 1})
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := parser.Train(bgl.Lines); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		perLine := float64(res.AllocedBytesPerOp()) / float64(len(bgl.Lines))
+		t.Logf("train: %d B/op over %d lines = %.0f B/line (budget %d)",
+			res.AllocedBytesPerOp(), len(bgl.Lines), perLine, allocBudgetTrainBytesPerLine)
+		if perLine > allocBudgetTrainBytesPerLine {
+			t.Fatalf("training allocations regressed: %.0f B/line exceeds budget %d",
+				perLine, allocBudgetTrainBytesPerLine)
 		}
 	})
 

@@ -87,8 +87,7 @@ func TestEarlyStopTwoLogs(t *testing.T) {
 		uniq("a", "x", "p"),
 		uniq("a", "y", "q"),
 	}
-	st := newPosStats(members)
-	parts := splitNode(members, st, 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
+	parts := splitNode(members, coded(members), 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
 	if len(parts) != 2 || len(parts[0]) != 1 || len(parts[1]) != 1 {
 		t.Errorf("two logs should split into singletons, got %d parts", len(parts))
 	}
@@ -101,8 +100,7 @@ func TestEarlyStopAllDistinct(t *testing.T) {
 		uniq("a", "x3", "p3"),
 		uniq("a", "x4", "p4"),
 	}
-	st := newPosStats(members)
-	parts := splitNode(members, st, 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
+	parts := splitNode(members, coded(members), 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
 	if len(parts) != 4 {
 		t.Errorf("all-distinct unresolved positions should yield singletons, got %d parts", len(parts))
 	}
@@ -142,7 +140,7 @@ func TestClusterOnceSeparatesStructure(t *testing.T) {
 		uniq("close", "sock", "s2"),
 		uniq("close", "sock", "s3"),
 	}
-	parts := clusterOnce(members, 0.0, defaultOpts(), rand.New(rand.NewSource(3)))
+	parts := clusterOnce(members, coded(members), 0.0, defaultOpts(), rand.New(rand.NewSource(3)))
 	if len(parts) < 2 {
 		t.Fatalf("clusterOnce produced %d parts, want >= 2", len(parts))
 	}
@@ -164,8 +162,7 @@ func TestPositionalFallbackSplitsByLowestCardinality(t *testing.T) {
 		uniq("a", "y", "k3"),
 		uniq("a", "y", "k4"),
 	}
-	st := newPosStats(members)
-	parts := positionalFallback(members, st)
+	parts := positionalFallback(members, statsOf(members))
 	if len(parts) != 2 {
 		t.Fatalf("fallback parts = %d, want 2 (split on position 1, cardinality 2)", len(parts))
 	}
@@ -181,8 +178,7 @@ func TestPositionalFallbackSplitsByLowestCardinality(t *testing.T) {
 
 func TestPositionalFallbackNoUnresolved(t *testing.T) {
 	members := []*dedup.Unique{uniq("a", "b")}
-	st := newPosStats(members)
-	if parts := positionalFallback(members, st); len(parts) != 1 {
+	if parts := positionalFallback(members, statsOf(members)); len(parts) != 1 {
 		t.Errorf("fallback on resolved node should not split, got %d parts", len(parts))
 	}
 }
@@ -240,13 +236,13 @@ func TestBalancedGroupingSpreadsTies(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		members = append(members, uniq("op", string(rune('a'+i))))
 	}
-	a := clusterOnce(members, 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
-	b := clusterOnce(members, 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
+	a := clusterOnce(members, coded(members), 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
+	b := clusterOnce(members, coded(members), 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
 	if len(a) != len(b) {
 		t.Error("balanced grouping not deterministic under fixed seed")
 	}
 	o := Options{Seed: 5, NoBalancedGrouping: true}.withDefaults()
-	c := clusterOnce(members, 0.0, &o, rand.New(rand.NewSource(5)))
+	c := clusterOnce(members, coded(members), 0.0, &o, rand.New(rand.NewSource(5)))
 	total := 0
 	for _, p := range c {
 		total += len(p)

@@ -17,6 +17,29 @@ func uniq(tokens ...string) *dedup.Unique {
 	}
 }
 
+// coded returns a scratch holding members coded as one node, with the
+// SemanticHints evidence so every Options variant can score them.
+func coded(members []*dedup.Unique) *scratch {
+	sc := &scratch{}
+	sc.code(members, true)
+	return sc
+}
+
+// statsOf returns the statistics of members as one node.
+func statsOf(members []*dedup.Unique) *posStats { return &coded(members).st }
+
+// similarity returns the Eq.-2 similarity of probe to the cluster formed
+// by members (all of probe's length).
+func similarity(members []*dedup.Unique, probe *dedup.Unique, noPositionImportance bool) float64 {
+	sc := coded(append(members[:len(members):len(members)], probe))
+	cl := sc.open(0)
+	for j, u := range members {
+		cl.add(&sc.cd, j, u.Count)
+	}
+	cl.refresh(&sc.cd, &Options{NoPositionImportance: noPositionImportance})
+	return cl.sim[len(members)]
+}
+
 // Fig. 5, Set 1: "UserService createUser token=<v> success" with three token
 // values. The only unresolved position is the token value, so the node is
 // fully resolved (saturation 1.0 as printed in the figure).
@@ -38,14 +61,14 @@ func fig5Set2() []*dedup.Unique {
 }
 
 func TestSaturationFig5Set1(t *testing.T) {
-	st := newPosStats(fig5Set1())
+	st := statsOf(fig5Set1())
 	if got := st.saturation(&Options{}); got != 1.0 {
 		t.Errorf("Set 1 saturation = %v, want 1.0 (single unresolved position is a declared variable)", got)
 	}
 }
 
 func TestSaturationFig5Set2Root(t *testing.T) {
-	st := newPosStats(fig5Set2())
+	st := statsOf(fig5Set2())
 	got := st.saturation(&Options{})
 	// f_c = 2/5, f_v = min(1, 1, ln2/ln3) = 0.6309, p_c = 1/4:
 	// s = (0.6309·0.25 + 0.75)·0.4 = 0.3631 — printed as 0.4 in Fig. 5.
@@ -60,7 +83,7 @@ func TestSaturationFig5Set2Root(t *testing.T) {
 
 func TestSaturationFig5Subset46(t *testing.T) {
 	// {4,6}: createUser/queryUser and abc123/def456 vary, status constant.
-	st := newPosStats([]*dedup.Unique{
+	st := statsOf([]*dedup.Unique{
 		uniq("UserService", "createUser", "token", "abc123", "success"),
 		uniq("UserService", "queryUser", "token", "def456", "success"),
 	})
@@ -73,14 +96,14 @@ func TestSaturationFig5Subset46(t *testing.T) {
 }
 
 func TestSaturationSingletonIsOne(t *testing.T) {
-	st := newPosStats([]*dedup.Unique{uniq("UserService", "deleteUser", "token", "xyz789", "failed")})
+	st := statsOf([]*dedup.Unique{uniq("UserService", "deleteUser", "token", "xyz789", "failed")})
 	if got := st.saturation(&Options{}); got != 1.0 {
 		t.Errorf("singleton saturation = %v, want 1.0", got)
 	}
 }
 
 func TestSaturationAllConstantIsOne(t *testing.T) {
-	st := newPosStats([]*dedup.Unique{
+	st := statsOf([]*dedup.Unique{
 		uniq("a", "b"), uniq("a", "b"),
 	})
 	if got := st.saturation(&Options{}); got != 1.0 {
@@ -90,7 +113,7 @@ func TestSaturationAllConstantIsOne(t *testing.T) {
 
 func TestSaturationNoConstantsIsZero(t *testing.T) {
 	// f_c = 0 forces s = 0 regardless of variability.
-	st := newPosStats([]*dedup.Unique{
+	st := statsOf([]*dedup.Unique{
 		uniq("a", "x"), uniq("b", "y"), uniq("a", "z"),
 	})
 	got := st.saturation(&Options{})
@@ -101,7 +124,7 @@ func TestSaturationNoConstantsIsZero(t *testing.T) {
 
 func TestSaturationAblationVariants(t *testing.T) {
 	members := fig5Set2()
-	st := newPosStats(members)
+	st := statsOf(members)
 	base := st.saturation(&Options{})
 
 	noVar := st.saturation(&Options{NoVariableSaturation: true})
@@ -135,7 +158,7 @@ func TestSaturationInUnitInterval(t *testing.T) {
 		for _, o := range []*Options{
 			{}, {NoVariableSaturation: true}, {NoConfidenceFactor: true},
 		} {
-			s := newPosStats(members).saturation(o)
+			s := statsOf(members).saturation(o)
 			if s < 0 || s > 1 {
 				t.Fatalf("saturation %v out of [0,1] (opts %+v)", s, o)
 			}
@@ -145,9 +168,8 @@ func TestSaturationInUnitInterval(t *testing.T) {
 
 func TestSimilarityProperties(t *testing.T) {
 	members := fig5Set2()
-	st := newPosStats(members)
 	for _, u := range members {
-		sim := st.similarity(u.Enc, false)
+		sim := similarity(members, u, false)
 		if sim <= 0 || sim > 1 {
 			t.Errorf("member similarity %v out of (0,1]", sim)
 		}
@@ -156,9 +178,9 @@ func TestSimilarityProperties(t *testing.T) {
 	// member but higher than a completely alien log.
 	partial := uniq("UserService", "dropUser", "token", "zzz", "pending")
 	alien := uniq("x", "y", "z", "w", "v")
-	sp := st.similarity(partial.Enc, false)
-	sa := st.similarity(alien.Enc, false)
-	sm := st.similarity(members[0].Enc, false)
+	sp := similarity(members, partial, false)
+	sa := similarity(members, alien, false)
+	sm := similarity(members, members[0], false)
 	if !(sm > sp && sp > sa) {
 		t.Errorf("similarity ordering broken: member %v, partial %v, alien %v", sm, sp, sa)
 	}
@@ -172,28 +194,21 @@ func TestSimilarityPositionImportance(t *testing.T) {
 	// probe agreeing on the stable position must beat a probe agreeing
 	// on the noisy position by a wider margin when importance weighting
 	// is on.
-	st := newPosStats([]*dedup.Unique{
+	members := []*dedup.Unique{
 		uniq("op", "x1"), uniq("op", "x2"), uniq("op", "x3"),
-	})
+	}
 	agreeStable := uniq("op", "zzz")
 	agreeNoisy := uniq("other", "x1")
-	withW := st.similarity(agreeStable.Enc, false) - st.similarity(agreeNoisy.Enc, false)
-	withoutW := st.similarity(agreeStable.Enc, true) - st.similarity(agreeNoisy.Enc, true)
+	withW := similarity(members, agreeStable, false) - similarity(members, agreeNoisy, false)
+	withoutW := similarity(members, agreeStable, true) - similarity(members, agreeNoisy, true)
 	if withW <= withoutW {
 		t.Errorf("position importance did not emphasize stable positions: with=%v without=%v", withW, withoutW)
 	}
 }
 
-func TestSimilarityLengthMismatchIsZero(t *testing.T) {
-	st := newPosStats(fig5Set1())
-	if got := st.similarity(uniq("a", "b").Enc, false); got != 0 {
-		t.Errorf("similarity across lengths = %v, want 0", got)
-	}
-}
-
 func TestTemplateRendering(t *testing.T) {
-	st := newPosStats(fig5Set2())
-	tmpl := st.template()
+	members := fig5Set2()
+	tmpl := statsOf(members).template(members[0].Tokens)
 	want := []string{"UserService", Wildcard, "token", Wildcard, Wildcard}
 	for i := range want {
 		if tmpl[i] != want[i] {
@@ -203,8 +218,13 @@ func TestTemplateRendering(t *testing.T) {
 }
 
 func TestUnresolvedPositions(t *testing.T) {
-	st := newPosStats(fig5Set2())
-	got := st.unresolvedPositions()
+	st := statsOf(fig5Set2())
+	var got []int
+	for i, nu := range st.nu {
+		if nu > 1 {
+			got = append(got, i)
+		}
+	}
 	want := []int{1, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("unresolved = %v, want %v", got, want)
@@ -216,23 +236,69 @@ func TestUnresolvedPositions(t *testing.T) {
 	}
 }
 
+// TestPosStatsAddMatchesBatch checks the incremental updates the
+// clusterer relies on: statistics built by adding members one by one, and
+// by removing members again, equal a batch count of the members left.
 func TestPosStatsAddMatchesBatch(t *testing.T) {
-	members := fig5Set2()
-	batch := newPosStats(members)
-	inc := &posStats{}
-	for _, u := range members {
-		inc.add(u)
-	}
-	if inc.n != batch.n || inc.positions() != batch.positions() {
-		t.Fatal("incremental stats disagree with batch on shape")
-	}
-	for i := 0; i < batch.positions(); i++ {
-		if inc.distinct(i) != batch.distinct(i) {
-			t.Errorf("position %d distinct: inc %d, batch %d", i, inc.distinct(i), batch.distinct(i))
+	r := rand.New(rand.NewSource(11))
+	vocab := []string{"a", "b7", "c", "/d", "e", "f9"}
+	for iter := 0; iter < 200; iter++ {
+		n, m := 1+r.Intn(12), r.Intn(6)
+		members := make([]*dedup.Unique, n)
+		for j := range members {
+			toks := make([]string, m)
+			for i := range toks {
+				toks[i] = vocab[r.Intn(len(vocab))]
+			}
+			members[j] = uniq(toks...)
+			members[j].Count = 1 + r.Intn(5)
+		}
+		sc := coded(members)
+		inc := sc.open(0)
+		for j, u := range members {
+			inc.add(&sc.cd, j, u.Count)
+		}
+		assertSameStats(t, &inc.posStats, &sc.st)
+
+		keep := r.Intn(n + 1)
+		for j := keep; j < n; j++ {
+			inc.remove(&sc.cd, j, members[j].Count)
+		}
+		rest := statsOf(members[:keep])
+		if inc.n != rest.n || inc.weight != rest.weight {
+			t.Fatalf("after removals: n=%d weight=%d, want %d, %d", inc.n, inc.weight, rest.n, rest.weight)
+		}
+		if keep == 0 {
+			continue
+		}
+		for i := 0; i < m; i++ {
+			if inc.nu[i] != rest.nu[i] || inc.typed[i] != rest.typed[i] {
+				t.Fatalf("after removals, position %d: nu %d typed %d, want %d, %d",
+					i, inc.nu[i], inc.typed[i], rest.nu[i], rest.typed[i])
+			}
+		}
+		for _, o := range []*Options{{}, {SemanticHints: true}, {NoConfidenceFactor: true}} {
+			if a, b := inc.saturation(o), rest.saturation(o); a != b {
+				t.Fatalf("after removals: saturation %v, want %v (opts %+v)", a, b, o)
+			}
 		}
 	}
-	if inc.saturation(&Options{}) != batch.saturation(&Options{}) {
-		t.Error("incremental and batch saturation differ")
+}
+
+func assertSameStats(t *testing.T, got, want *posStats) {
+	t.Helper()
+	if got.n != want.n || got.weight != want.weight || len(got.cnt) != len(want.cnt) {
+		t.Fatalf("incremental stats disagree with batch on shape: n %d/%d weight %d/%d", got.n, want.n, got.weight, want.weight)
+	}
+	for p := range want.cnt {
+		if got.cnt[p] != want.cnt[p] {
+			t.Fatalf("count slot %d: inc %d, batch %d", p, got.cnt[p], want.cnt[p])
+		}
+	}
+	for i := range want.nu {
+		if got.nu[i] != want.nu[i] || got.typed[i] != want.typed[i] {
+			t.Fatalf("position %d: inc nu %d typed %d, batch %d, %d", i, got.nu[i], got.typed[i], want.nu[i], want.typed[i])
+		}
 	}
 }
 
@@ -247,7 +313,7 @@ func TestSemanticHintsDeclareTypedPositions(t *testing.T) {
 		{Tokens: []string{"req", "took", "93ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "93ms"}), Count: 10},
 		{Tokens: []string{"req", "took", "1ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "1ms"}), Count: 10},
 	}
-	st := newPosStats(members)
+	st := statsOf(members)
 	plain := st.saturation(&Options{})
 	hinted := st.saturation(&Options{SemanticHints: true})
 	if hinted != 1.0 {
@@ -263,7 +329,7 @@ func TestSemanticHintsIgnoreWordPositions(t *testing.T) {
 	members := []*dedup.Unique{
 		uniq("op", "start"), uniq("op", "stop"), uniq("op", "start"),
 	}
-	st := newPosStats(members)
+	st := statsOf(members)
 	a := st.saturation(&Options{})
 	b := st.saturation(&Options{SemanticHints: true})
 	if a != b {
@@ -276,7 +342,7 @@ func TestFig5UnaffectedBySemanticHints(t *testing.T) {
 	// legitimately resolve them earlier, but the DEFAULT path must keep
 	// the paper's exact numbers (guarded elsewhere); here we pin that
 	// hints are off by default.
-	st := newPosStats(fig5Set2())
+	st := statsOf(fig5Set2())
 	if got := st.saturation(nil); got >= 0.4 {
 		t.Errorf("default saturation drifted: %v", got)
 	}
