@@ -64,7 +64,7 @@ func usage() {
   bytebrain match     -in <log file> -model <model> [-threshold T]
   bytebrain templates -model <model> [-threshold T]
   bytebrain ingest    -addr <service URL | host:port> -topic <name>
-                      [-in <log file>] [-batch N] [-async]
+                      [-in <log file>] [-batch N]
                       [-proto http|tcp|tcp-raw] [-window N]
   bytebrain query     -addr <service URL> -topic <name> [-threshold T]
                       [-from RFC3339] [-to RFC3339] [-since 15m] [-merged]`)
@@ -167,8 +167,7 @@ func cmdMatch(args []string) {
 // cmdIngest ships a log file (or stdin) into a running log service
 // (cmd/logsvcd). The default -proto=http posts batches of lines so each
 // request rides the service's group-committed ingestion path end to
-// end; -async routes through the service's multi-queue pipeline (202 on
-// enqueue) instead of synchronous ingestion. -proto=tcp speaks the
+// end and a 200 means the batch is committed. -proto=tcp speaks the
 // streaming framed protocol against the service's -ingest-addr listener
 // (persistent connection, pipelined frames, BUSY-aware resends), and
 // -proto=tcp-raw streams newline-delimited lines with one final ack.
@@ -178,7 +177,6 @@ func cmdIngest(args []string) {
 	topic := fs.String("topic", "", "topic to ingest into")
 	in := fs.String("in", "", "input log file (default stdin)")
 	batch := fs.Int("batch", 4096, "lines per HTTP request / framed batch")
-	async := fs.Bool("async", false, "enqueue on the service's async pipeline (HTTP 202; -proto=http only)")
 	proto := fs.String("proto", "http", "wire protocol: http, tcp (framed), or tcp-raw (newline stream)")
 	window := fs.Int("window", 8, "unacked frames in flight (-proto=tcp)")
 	_ = fs.Parse(args)
@@ -239,9 +237,6 @@ func cmdIngest(args []string) {
 		log.Fatalf("-proto=%s: want http, tcp, or tcp-raw", *proto)
 	}
 	u := strings.TrimSuffix(*addr, "/") + "/topics/" + url.PathEscape(*topic) + "/logs"
-	if *async {
-		u += "?async=1"
-	}
 	sent := 0
 	for len(lines) > 0 {
 		n := *batch
@@ -254,7 +249,7 @@ func cmdIngest(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		if resp.StatusCode != http.StatusOK {
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			log.Fatalf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))

@@ -44,9 +44,7 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "persist topics (compacting segment store + model snapshots) under this directory; empty = in-memory")
 		segmentBytes = flag.Int64("segment-bytes", 0, "seal hot blocks of this raw size into compressed columnar segments (0 = default 4 MiB when -data-dir is set; in-memory otherwise)")
 		segmentCodec = flag.String("segment-codec", "flate", "sealed-segment payload codec: flate or none")
-		topicShards  = flag.Int("topic-shards", 1, "fan each topic's store out over this many shards with queue affinity so appends scale with cores (1 = single store; a persisted topic's shard count must not shrink)")
-		ingestQueues = flag.Int("ingest-queues", 4, "worker queues per async ingestion pipeline (POST /topics/{name}/logs?async=1)")
-		ingestDepth  = flag.Int("ingest-queue-depth", 1024, "per-queue depth of the async ingestion pipeline (backpressure beyond it)")
+		topicShards  = flag.Int("topic-shards", 1, "fan each topic's store out over this many shards, each batch split round-robin across them, so concurrent appends spread over several store mutexes (1 = single store; a persisted topic's shard count must not shrink)")
 		snapRetain   = flag.Int("snapshot-retain", 0, "keep only this many newest model snapshots per topic (0 = keep all)")
 		snapCkpt     = flag.Int("snapshot-checkpoint-every", 0, "with -snapshot-retain, additionally keep every Nth snapshot as a checkpoint (0 = none)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof profiles on this separate address (empty = disabled); keep it off the public listener")
@@ -73,8 +71,6 @@ func main() {
 		SegmentBytes:            *segmentBytes,
 		SegmentCodec:            *segmentCodec,
 		TopicShards:             *topicShards,
-		IngestQueues:            *ingestQueues,
-		IngestQueueDepth:        *ingestDepth,
 		SnapshotRetain:          *snapRetain,
 		SnapshotCheckpointEvery: *snapCkpt,
 		LineCacheCap:            *lineCacheCap,

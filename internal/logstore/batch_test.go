@@ -233,8 +233,8 @@ func TestAppendBatchEmptyAndNil(t *testing.T) {
 	}
 }
 
-// TestShardedAppendShardBatch pins a batch to one shard and checks the
-// namespaced offsets and shard routing.
+// TestShardedAppendShardBatch pins a batch to one shard via appendShard
+// and checks the namespaced offsets and shard routing.
 func TestShardedAppendShardBatch(t *testing.T) {
 	s, err := OpenSharded("t", ShardConfig{Shards: 4})
 	if err != nil {
@@ -246,7 +246,7 @@ func TestShardedAppendShardBatch(t *testing.T) {
 		{Raw: "b 2", TemplateID: 2},
 		{Raw: "c 3", TemplateID: 3},
 	}
-	first, err := s.AppendShardBatch(2, ts(0), recs)
+	first, err := s.appendShard(2, ts(0), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +262,10 @@ func TestShardedAppendShardBatch(t *testing.T) {
 			t.Fatalf("record %d = %+v, want %+v", i, r, recs[i])
 		}
 	}
-	if _, err := s.AppendShardBatch(4, ts(0), recs); err == nil {
+	if _, err := s.appendShard(4, ts(0), recs); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if _, err := s.AppendShardBatch(-1, ts(0), recs); err == nil {
+	if _, err := s.appendShard(-1, ts(0), recs); err == nil {
 		t.Fatal("negative shard accepted")
 	}
 }

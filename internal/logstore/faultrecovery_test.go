@@ -115,7 +115,7 @@ func TestDegradedShardRoutesAround(t *testing.T) {
 
 	// Seed both shards while healthy.
 	for i := 0; i < 4; i++ {
-		if _, err := sh.AppendShardBatch(i%2, ts(i), []BatchRecord{{Raw: fmt.Sprintf("seed line %d", i), TemplateID: 1}}); err != nil {
+		if _, err := sh.appendShard(i%2, ts(i), []BatchRecord{{Raw: fmt.Sprintf("seed line %d", i), TemplateID: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,10 +136,10 @@ func TestDegradedShardRoutesAround(t *testing.T) {
 
 	// First pinned append is admitted (the swallowed fsync poisons the
 	// WAL and flips the shard to degraded); the next fails fast.
-	if _, err := sh.AppendShardBatch(0, ts(10), []BatchRecord{{Raw: "tipping append", TemplateID: 1}}); err != nil {
+	if _, err := sh.appendShard(0, ts(10), []BatchRecord{{Raw: "tipping append", TemplateID: 1}}); err != nil {
 		t.Fatalf("tipping append: %v", err)
 	}
-	if _, err := sh.AppendShardBatch(0, ts(11), []BatchRecord{{Raw: "pinned after degrade", TemplateID: 1}}); !errors.Is(err, ErrDegraded) {
+	if _, err := sh.appendShard(0, ts(11), []BatchRecord{{Raw: "pinned after degrade", TemplateID: 1}}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("pinned append to degraded shard: err = %v, want ErrDegraded", err)
 	}
 	if n := sh.DegradedShards(); n != 1 {

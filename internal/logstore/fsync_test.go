@@ -166,10 +166,10 @@ func TestShardAppendMetrics(t *testing.T) {
 	}
 	defer s.Close()
 	ts := time.Now()
-	if _, err := s.AppendShardBatch(0, ts, batchOf(3, 1)); err != nil {
+	if _, err := s.appendShard(0, ts, batchOf(3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendShardBatch(1, ts, batchOf(5, 1)); err != nil {
+	if _, err := s.appendShard(1, ts, batchOf(5, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.ShardAppends[0].Value(); got != 3 {

@@ -47,21 +47,19 @@ type ShardConfig struct {
 	Opts StoreOptions
 }
 
-// ShardedStore fans one topic out over N sub-stores so appends scale
-// with cores: each ingestion queue pins its appends to one shard
-// (AppendShardBatch) and never contends on another shard's store mutex,
-// while plain AppendBatch round-robins. Offsets are namespaced
-// shard<<48|local;
-// reads route by the high bits and grouped queries merge per-shard
-// results. Global offset order is shard-major (all of shard 0's offsets
-// sort below shard 1's), and records from different shards interleave in
-// time — callers already tolerate both, exactly as they do for multiple
-// ingest queues.
+// ShardedStore fans one topic out over N sub-stores so concurrent
+// appends spread over N store mutexes: AppendBatch partitions every batch
+// round-robin and hands each shard its sub-batch in one group commit.
+// Offsets are namespaced shard<<48|local; reads route by the high bits
+// and grouped queries merge per-shard results. Global offset order is
+// shard-major (all of shard 0's offsets sort below shard 1's), and
+// records from different shards interleave in time — callers already
+// tolerate both, exactly as they do for concurrent ingest calls.
 type ShardedStore struct {
 	name   string
 	m      *Metrics // never nil; per-shard append counters
 	shards []Store
-	next   atomic.Uint64 // round-robin cursor for un-pinned appends
+	next   atomic.Uint64 // round-robin cursor of AppendBatch
 }
 
 var _ Store = (*ShardedStore)(nil)
@@ -173,19 +171,18 @@ func (s *ShardedStore) shardDegraded(i int) bool {
 // through one group-committed AppendBatch call. A degraded shard's picks
 // go to the next healthy sibling: a single full disk must not wedge
 // writes that other shards can still take; when every shard is degraded
-// ErrDegraded surfaces. Pinned ingestion queues use AppendShardBatch
-// instead and skip the partition entirely. On error some shards may have
-// admitted their sub-batch (or a prefix of it) and others not, so —
-// unlike single-store AppendBatch — the admitted records are NOT
-// necessarily a prefix of the batch: surviving records can interleave
-// with lost ones. The returned error reports the first failure.
+// ErrDegraded surfaces. On error some shards may have admitted their
+// sub-batch (or a prefix of it) and others not, so — unlike single-store
+// AppendBatch — the admitted records are NOT necessarily a prefix of the
+// batch: surviving records can interleave with lost ones. The returned
+// error reports the first failure.
 func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
 	n := len(s.shards)
 	if n == 1 {
-		return s.AppendShardBatch(0, ts, recs)
+		return s.appendShard(0, ts, recs)
 	}
 	start := s.next.Add(uint64(len(recs))) - uint64(len(recs))
 	// Snapshot degraded flags once per batch (not per record — Degraded
@@ -225,7 +222,7 @@ func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, err
 		if len(parts[k]) == 0 {
 			continue
 		}
-		off, err := s.AppendShardBatch(k, ts, parts[k])
+		off, err := s.appendShard(k, ts, parts[k])
 		if err != nil {
 			return 0, err
 		}
@@ -236,11 +233,10 @@ func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, err
 	return first, nil
 }
 
-// AppendShardBatch group-commits a whole batch into one specific shard
-// and returns the namespaced global offset of its first record. Each
-// ingestion queue pins itself to a shard through it: one sub-store
-// AppendBatch call, zero cross-shard contention.
-func (s *ShardedStore) AppendShardBatch(shard int, ts time.Time, recs []BatchRecord) (int64, error) {
+// appendShard group-commits a whole batch into one specific shard and
+// returns the namespaced global offset of its first record: one
+// sub-store AppendBatch call.
+func (s *ShardedStore) appendShard(shard int, ts time.Time, recs []BatchRecord) (int64, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return 0, fmt.Errorf("logstore: shard %d out of range [0,%d)", shard, len(s.shards))
 	}
@@ -504,8 +500,8 @@ func (s *ShardedStore) SegmentStats() SegmentStats {
 var _ Degrader = (*ShardedStore)(nil)
 
 // Degraded implements Degrader: the sharded store is degraded only when
-// EVERY shard has degraded — while any healthy shard remains, un-pinned
-// appends route around the sick ones and ingest stays available. The
+// EVERY shard has degraded — while any healthy shard remains,
+// AppendBatch routes around the sick ones and ingest stays available. The
 // error reported is the first degraded shard's cause, annotated with
 // its index.
 func (s *ShardedStore) Degraded() (bool, error) {
@@ -567,8 +563,8 @@ type ShardStat struct {
 	HotRecords      int   `json:",omitempty"`
 	CompressedBytes int64 `json:",omitempty"`
 	// Degraded marks a shard that has entered read-only mode (disk
-	// full or persistent seal failure); un-pinned appends route around
-	// it while it lasts.
+	// full or persistent seal failure); AppendBatch routes around it
+	// while it lasts.
 	Degraded bool `json:",omitempty"`
 }
 

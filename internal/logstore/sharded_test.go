@@ -18,7 +18,7 @@ func shardedConfigs(t *testing.T) map[string]ShardConfig {
 	}
 }
 
-// fillSharded appends n records with queue→shard affinity (record i goes
+// fillSharded appends n records one per appendShard call (record i goes
 // to shard i%Shards) and returns the global offsets.
 func fillSharded(t *testing.T, s *ShardedStore, n, start int) []int64 {
 	t.Helper()
@@ -26,7 +26,7 @@ func fillSharded(t *testing.T, s *ShardedStore, n, start int) []int64 {
 	for i := start; i < start+n; i++ {
 		raw := fmt.Sprintf("worker %d finished job job-%d in 12ms", i%7, i)
 		shard := i % s.Shards()
-		off, err := s.AppendShardBatch(shard, ts(i), []BatchRecord{{Raw: raw, TemplateID: uint64(1 + i%3)}})
+		off, err := s.appendShard(shard, ts(i), []BatchRecord{{Raw: raw, TemplateID: uint64(1 + i%3)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestShardedRecovery(t *testing.T) {
 		}
 	}
 	// Appends continue into the right shards after recovery.
-	off, err := s2.AppendShardBatch(2, ts(400), []BatchRecord{{Raw: "after restart", TemplateID: 9}})
+	off, err := s2.appendShard(2, ts(400), []BatchRecord{{Raw: "after restart", TemplateID: 9}})
 	if err != nil || off>>shardShift != 2 {
 		t.Fatalf("AppendShard after reopen: %d, %v", off, err)
 	}
@@ -297,7 +297,7 @@ func TestShardedStress(t *testing.T) {
 			defer appendWG.Done()
 			for i := 0; i < perShard; i++ {
 				raw := fmt.Sprintf("shard %d req %d handled path=/api/%d", shard, i, i%50)
-				if _, err := s.AppendShardBatch(shard, ts(shard*perShard+i), []BatchRecord{{Raw: raw, TemplateID: uint64(1 + i%5)}}); err != nil {
+				if _, err := s.appendShard(shard, ts(shard*perShard+i), []BatchRecord{{Raw: raw, TemplateID: uint64(1 + i%5)}}); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -348,7 +348,7 @@ func TestShardedStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Appends after Close fail instead of panicking.
-			if _, err := s.AppendShardBatch(0, ts(0), []BatchRecord{{Raw: "late", TemplateID: 1}}); err == nil {
+			if _, err := s.appendShard(0, ts(0), []BatchRecord{{Raw: "late", TemplateID: 1}}); err == nil {
 				t.Fatal("AppendShard after Close must fail")
 			}
 			return

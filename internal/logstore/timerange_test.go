@@ -266,7 +266,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		}
 		defer s.Close()
 		for i := 0; i < 90; i++ {
-			if _, err := s.AppendShardBatch(i%3, ts(10+i), []BatchRecord{{Raw: "x", TemplateID: 1}}); err != nil {
+			if _, err := s.appendShard(i%3, ts(10+i), []BatchRecord{{Raw: "x", TemplateID: 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -308,7 +308,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.AppendShardBatch(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
+		if _, err := s.appendShard(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +319,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 400; i < 500; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.AppendShardBatch(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
+		if _, err := s.appendShard(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,7 +398,7 @@ func TestShardedTimeRangeStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if _, err := s.AppendShardBatch(w, ts(i), []BatchRecord{{Raw: fmt.Sprintf("w%d line %d token-%d", w, i, i%17), TemplateID: uint64(1 + i%7)}}); err != nil {
+				if _, err := s.appendShard(w, ts(i), []BatchRecord{{Raw: fmt.Sprintf("w%d line %d token-%d", w, i, i%17), TemplateID: uint64(1 + i%7)}}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -61,7 +61,9 @@ func diskFullHook(dir string) fsx.Hook {
 // issue calls for: a full disk flips the store to degraded read-only —
 // ingest sheds with 503 and /readyz goes unready while queries, stats
 // and metrics keep answering — and once space returns the background
-// probe re-arms writes with no restart.
+// probe re-arms writes with no restart. Throughout, no 2xx is sent for
+// a line that is not stored: ?async=1 is refused with 400, and after the
+// re-arm Records is exactly the baseline plus every 200-acked line.
 func TestServiceDegradedENOSPC(t *testing.T) {
 	s, fsys := newDegradedFixture(t)
 	srv := httptest.NewServer(s.Handler())
@@ -85,9 +87,28 @@ func TestServiceDegradedENOSPC(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 
+	records := func() int {
+		st, err := s.TopicStats("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Records
+	}
+	// acked counts the lines of every POST answered 200: each must be
+	// stored, whatever the disk did meanwhile.
+	acked := 0
+	ack := func(body string) {
+		var r struct{ Ingested int }
+		if err := json.Unmarshal([]byte(body), &r); err != nil || r.Ingested == 0 {
+			t.Fatalf("200 ingest body %q (%v)", body, err)
+		}
+		acked += r.Ingested
+	}
+
 	if code, _ := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz before fault = %d, want 200", code)
 	}
+	baseline := records()
 
 	// The disk fills under the topic's record store (models stay
 	// writable — degraded mode is about the ingest path).
@@ -102,6 +123,7 @@ func TestServiceDegradedENOSPC(t *testing.T) {
 		code, body := post("/topics/app/logs", lines)
 		switch code {
 		case http.StatusOK:
+			ack(body)
 		case http.StatusServiceUnavailable:
 			shed = true
 			if !strings.Contains(body, "degraded") {
@@ -113,6 +135,16 @@ func TestServiceDegradedENOSPC(t *testing.T) {
 	}
 	if !shed {
 		t.Fatal("ingest never shed with 503 under ENOSPC")
+	}
+
+	// The shedding store must not be reachable through a 2xx that
+	// commits nothing: ?async=1 is refused outright and stores nothing.
+	before := records()
+	if code, body := post("/topics/app/logs?async=1", lines); code != http.StatusBadRequest {
+		t.Fatalf("async ingest while degraded = %d (%q), want 400", code, body)
+	}
+	if got := records(); got != before {
+		t.Fatalf("refused async ingest moved Records %d → %d", before, got)
 	}
 
 	if code, body := get("/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "app") {
@@ -156,7 +188,8 @@ func TestServiceDegradedENOSPC(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) {
-		if code, _ := post("/topics/app/logs", lines); code == http.StatusOK {
+		if code, body := post("/topics/app/logs", lines); code == http.StatusOK {
+			ack(body)
 			recovered = true
 			break
 		}
@@ -164,6 +197,11 @@ func TestServiceDegradedENOSPC(t *testing.T) {
 	}
 	if !recovered {
 		t.Fatal("ingest did not recover after space returned")
+	}
+	// Every 200 was a commit and nothing else was: no acked line was
+	// dropped, and no shed or refused request left records behind.
+	if got, want := records(), baseline+acked; got != want {
+		t.Fatalf("Records after re-arm = %d, want baseline %d + %d acked lines", got, baseline, acked)
 	}
 	if code, _ := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz after recovery = %d, want 200", code)

@@ -30,10 +30,9 @@ var scanBufPool = sync.Pool{
 //
 //	PUT  /topics/{name}                create a topic
 //	GET  /topics                       list topics
-//	POST /topics/{name}/logs           ingest newline-separated raw logs
-//	                                   (?async=1 enqueues them on the
-//	                                   topic's multi-queue pipeline and
-//	                                   returns 202 immediately)
+//	POST /topics/{name}/logs           ingest newline-separated raw logs;
+//	                                   200 means the store admitted every
+//	                                   line (?async=1 is refused with 400)
 //	POST /topics/{name}/train          force a training cycle
 //	POST /topics/{name}/compact        seal the hot block into a
 //	                                   compressed segment (segment store)
@@ -109,6 +108,12 @@ func (s *Service) topicRoutes(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(http.StatusCreated)
 	case action == "logs" && r.Method == http.MethodPost:
+		if r.URL.Query().Get("async") == "1" {
+			// A 202 before the store commits would ack lines a degraded
+			// store can still drop; there is no fire-and-forget ingest.
+			http.Error(w, "async ingest is not supported: POST without ?async=1 (200 = committed) or stream over the TCP ingest listener (-ingest-addr)", http.StatusBadRequest)
+			return
+		}
 		sc := bufio.NewScanner(r.Body)
 		// The scanner's initial buffer is leased from a pool rather
 		// than allocated per request: line bytes are copied out by
@@ -127,27 +132,6 @@ func (s *Service) topicRoutes(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := sc.Err(); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if r.URL.Query().Get("async") == "1" {
-			// Enqueue on the topic's shared multi-queue pipeline: the
-			// request returns as soon as the lines are queued, and the
-			// workers match+append them in parallel group-committed
-			// batches. SubmitBatch moves the request body with one queue
-			// send per chunk instead of one per line, and blocks only
-			// when every queue is full (backpressure).
-			ing, err := s.sharedIngester(name)
-			if err != nil {
-				httpTopicError(w, err)
-				return
-			}
-			if err := ing.SubmitBatch(lines); err != nil {
-				httpTopicError(w, err)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(map[string]int{"queued": len(lines)})
 			return
 		}
 		if err := s.Ingest(name, lines); err != nil {

@@ -169,57 +169,35 @@ func TestHTTPQueryNoModel(t *testing.T) {
 	}
 }
 
+// TestHTTPAsyncIngest pins that ?async=1 is refused with 400 and stores
+// nothing: the only HTTP ingest answer is a synchronous 200 after commit.
 func TestHTTPAsyncIngest(t *testing.T) {
 	s := New(testConfig())
+	defer s.Close()
 	if err := s.CreateTopic("app"); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
+	defer srv.Close()
 
 	body := strings.Join(genLines(120, 11), "\n")
 	resp, err := srv.Client().Post(srv.URL+"/topics/app/logs?async=1", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async ingest status = %v, want 202", resp.Status)
-	}
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(b), `"queued":120`) {
-		t.Fatalf("async ingest body = %s", b)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("async ingest status = %v, want 400", resp.Status)
 	}
-	// Unknown topic via async path still 404s.
-	resp, err = srv.Client().Post(srv.URL+"/topics/ghost/logs?async=1", "text/plain", strings.NewReader("x y z"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("async ingest to unknown topic = %v, want 404", resp.Status)
-	}
-
-	// Close drains the shared pipeline, so every queued line lands.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(string(b), "ingest-addr") {
+		t.Errorf("400 body does not point at the alternatives: %q", b)
 	}
 	stats, err := s.TopicStats("app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Records != 120 {
-		t.Fatalf("records after drain = %d, want 120", stats.Records)
-	}
-
-	// Async ingest after Close refuses cleanly instead of re-minting a
-	// pipeline over closed stores.
-	resp, err = srv.Client().Post(srv.URL+"/topics/app/logs?async=1", "text/plain", strings.NewReader("late line"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("async ingest after close = %v, want 503", resp.Status)
+	if stats.Records != 0 {
+		t.Fatalf("records after refused async ingest = %d, want 0", stats.Records)
 	}
 }

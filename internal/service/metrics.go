@@ -19,8 +19,8 @@ const (
 
 var queryKinds = []string{queryKindGrouped, queryKindTimeRange, queryKindTemplate, queryKindSearch}
 
-// batchSizeBuckets covers the ingest/WAL batch-size distributions; the
-// Ingester chunks at 256 lines, so the buckets bracket that.
+// batchSizeBuckets covers the ingest/WAL batch-size distributions, from
+// single-line TCP frames to multi-thousand-line HTTP posts.
 var batchSizeBuckets = obs.SizeBuckets(1, 8, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
 // serviceMetrics owns the service's registry and every metric family,

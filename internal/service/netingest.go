@@ -29,9 +29,9 @@ func (s *Service) netIngest(topic string, lines []string) error {
 // registry (bb_netingest_* families) and is drained and closed first
 // thing in Close.
 func (s *Service) StartNetIngest(addr string) (net.Addr, error) {
-	s.ingMu.Lock()
-	closed := s.closed
-	s.ingMu.Unlock()
+	s.netMu.Lock()
+	closed := s.netClosed
+	s.netMu.Unlock()
 	if closed {
 		return nil, errors.New("service: closed")
 	}

@@ -14,7 +14,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -80,23 +79,14 @@ type Config struct {
 	SnapshotCheckpointEvery int
 	// TopicShards > 1 fans every topic's store out over this many
 	// sub-stores (each the kind the knobs above select, persisted under
-	// DataDir/<topic>/records/shard-<i>) with queue→shard append
-	// affinity, so one topic's appends scale with cores instead of
-	// serializing on a single store mutex. Offsets are namespaced
+	// DataDir/<topic>/records/shard-<i>). Every batch is partitioned
+	// round-robin across the shards and each shard takes its sub-batch
+	// under its own mutex, so concurrent ingest calls spread over N store
+	// mutexes instead of serializing on one. Offsets are namespaced
 	// shard<<48|local. Default 1 keeps the single-store layout and
 	// on-disk compatibility; the shard count of a persisted topic must
 	// not shrink between runs.
 	TopicShards int
-	// IngestQueues is the default worker-queue count for ingestion
-	// pipelines created with NewIngester(topic, 0, _) and for the HTTP
-	// async ingest path (default 4).
-	IngestQueues int
-	// IngestQueueDepth is the default per-queue depth for those
-	// pipelines, in LINES (default 1024): a full queue buffers at most
-	// this many lines before Submit/SubmitBatch block. Queues carry
-	// chunks of up to 256 lines, so the underlying channel holds
-	// depth/256 chunks.
-	IngestQueueDepth int
 	// LineCacheCap bounds how many distinct raw lines one model
 	// snapshot's line cache memoizes (default 65536). At the cap the
 	// cache evicts wholesale — a fresh generation replaces the full map,
@@ -146,12 +136,6 @@ func (c Config) withDefaults() Config {
 	if c.TopicShards <= 0 {
 		c.TopicShards = 1
 	}
-	if c.IngestQueues <= 0 {
-		c.IngestQueues = defaultQueues
-	}
-	if c.IngestQueueDepth <= 0 {
-		c.IngestQueueDepth = defaultQueueDepth
-	}
 	if c.LineCacheCap <= 0 {
 		c.LineCacheCap = lineCacheCap
 	}
@@ -181,22 +165,15 @@ type Service struct {
 	mu     sync.RWMutex
 	topics map[string]*topicState
 
-	// Shared per-topic async pipelines for the HTTP ingest path, built
-	// lazily from the Config knobs. closed (under ingMu) stops new
-	// pipelines from being minted once Close has drained the map.
-	ingMu     sync.Mutex
-	ingesters map[string]*Ingester
-	closed    bool
-
 	// trainHook, when set by tests, runs inside every training cycle
 	// after the reservoir hand-off — while ingestion must stay live.
 	trainHook func(topic string)
 
 	// Streaming TCP ingest listeners started via StartNetIngest; closed
-	// ahead of the ingesters and stores in Close. netClosed flips under
-	// netMu when Close drains the list, so a StartNetIngest racing with
-	// Close either registers before the drain or sees the flag and shuts
-	// its fresh listener down itself.
+	// ahead of the stores in Close. netClosed is the service's closed
+	// flag: it flips under netMu when Close drains the list, so a
+	// StartNetIngest racing with Close either registers before the drain
+	// or sees the flag and shuts its fresh listener down itself.
 	netMu      sync.Mutex
 	netServers []*netingest.Server
 	netClosed  bool
@@ -326,10 +303,9 @@ type topicState struct {
 // New creates a Service.
 func New(cfg Config) *Service {
 	return &Service{
-		cfg:       cfg.withDefaults(),
-		met:       newServiceMetrics(obs.NewRegistry()),
-		topics:    make(map[string]*topicState),
-		ingesters: make(map[string]*Ingester),
+		cfg:    cfg.withDefaults(),
+		met:    newServiceMetrics(obs.NewRegistry()),
+		topics: make(map[string]*topicState),
 	}
 }
 
@@ -494,13 +470,13 @@ func (st *topicState) newSnapshot(model *core.Model, matcher *core.Matcher, data
 	return sn
 }
 
-// Close stops the background trainers, drains shared ingestion pipelines,
-// and flushes and closes every topic store.
+// Close stops the network listeners and background trainers, and flushes
+// and closes every topic store.
 func (s *Service) Close() error {
 	var firstErr error
 	// Network listeners go first: their workers call Ingest
-	// synchronously, so draining them before the ingesters and stores
-	// means every acked frame is already committed when the stores shut.
+	// synchronously, so draining them before the stores means every
+	// acked frame is already committed when the stores shut.
 	s.netMu.Lock()
 	servers := s.netServers
 	s.netServers = nil
@@ -511,15 +487,6 @@ func (s *Service) Close() error {
 			firstErr = err
 		}
 	}
-	s.ingMu.Lock()
-	s.closed = true
-	for name, ing := range s.ingesters {
-		if err := ing.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		delete(s.ingesters, name)
-	}
-	s.ingMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, st := range s.topics {
@@ -554,16 +521,6 @@ func (s *Service) topic(name string) (*topicState, error) {
 	return st, nil
 }
 
-// Ingest appends lines to the topic: the batch is matched against the
-// current model snapshot (template IDs are computed before the record is
-// written, as the indexing pipeline requires) without taking any topic
-// lock, then stored. Unmatched logs become temporary templates inside the
-// matcher. Training triggers lazily on volume or elapsed-interval and
-// runs in the topic's background trainer, never blocking the caller.
-func (s *Service) Ingest(topicName string, lines []string) error {
-	return s.ingest(topicName, lines, -1)
-}
-
 // ingestScratch is the pooled per-call working set of the ingestion hot
 // path: the batch records handed to AppendBatch (which subsumes the old
 // per-call ids slice) and the cache-miss bookkeeping. Pooling it makes
@@ -579,25 +536,29 @@ var ingestScratchPool = sync.Pool{
 }
 
 // maxPooledBatch bounds the batch size whose scratch is worth parking in
-// the pool: Ingester batches are ~256 lines, but a synchronous Ingest of
-// a whole file could grow a scratch to millions of entries that would
-// then sit in the pool forever.
+// the pool: HTTP requests and TCP frames carry up to a few thousand
+// lines, but an Ingest of a whole file could grow a scratch to millions
+// of entries that would then sit in the pool forever.
 const maxPooledBatch = 1 << 14
 
-// ingest is Ingest with optional shard affinity: queue >= 0 pins the
-// batch to one shard of a sharded store (each Ingester worker passes its
-// queue index, so parallel queues write disjoint shards and never contend
-// on a store mutex); -1 lets the store route. Non-sharded stores ignore
-// the pin.
+// Ingest appends lines to the topic: the batch is matched against the
+// current model snapshot (template IDs are computed before the record is
+// written, as the indexing pipeline requires) without taking any topic
+// lock, then stored. Unmatched logs become temporary templates inside the
+// matcher. Training triggers lazily on volume or elapsed-interval and
+// runs in the topic's background trainer, never blocking the caller.
 //
 // The whole batch is one group commit: template IDs for every line are
 // resolved first — from the snapshot's line cache for repeats, through
 // the matcher's deduplicated MatchBatch for the rest — and then a single
 // AppendBatch hands the batch to the store, which takes one lock and
-// writes one WAL run instead of one per record. The batch is therefore
-// also the durability and poison boundary: a WAL failure fails the batch
-// from the torn record on, never splitting a record.
-func (s *Service) ingest(topicName string, lines []string, queue int) error {
+// writes one WAL run instead of one per record (a sharded store
+// partitions it round-robin, one sub-batch per shard, and routes around
+// degraded shards). The batch is therefore also the durability and
+// poison boundary: a WAL failure fails the batch from the torn record
+// on, never splitting a record. A nil return means the store admitted
+// every line.
+func (s *Service) Ingest(topicName string, lines []string) error {
 	st, err := s.topic(topicName)
 	if err != nil {
 		return err
@@ -648,26 +609,8 @@ func (s *Service) ingest(topicName string, lines []string, queue int) error {
 	}
 	appendStart := time.Now()
 	met.matchSeconds.Observe(appendStart.Sub(matchStart).Nanoseconds())
-	appended := false
-	if queue >= 0 {
-		if sh, ok := st.store.(*logstore.ShardedStore); ok {
-			_, err := sh.AppendShardBatch(queue%sh.Shards(), now, recs)
-			switch {
-			case err == nil:
-				appended = true
-			case errors.Is(err, logstore.ErrDegraded):
-				// The pinned shard degraded (disk full / seal failure):
-				// fall through to un-pinned AppendBatch, which routes
-				// around degraded shards while any healthy one remains.
-			default:
-				return fmt.Errorf("service: ingest %s: %w", topicName, err)
-			}
-		}
-	}
-	if !appended {
-		if _, err := st.store.AppendBatch(now, recs); err != nil {
-			return fmt.Errorf("service: ingest %s: %w", topicName, err)
-		}
+	if _, err := st.store.AppendBatch(now, recs); err != nil {
+		return fmt.Errorf("service: ingest %s: %w", topicName, err)
 	}
 	met.appendSeconds.ObserveDuration(time.Since(appendStart))
 	met.ingestLines.Add(int64(len(lines)))

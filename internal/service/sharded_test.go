@@ -2,13 +2,14 @@ package service
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 // TestShardedTopicEndToEnd drives a TopicShards topic through the full
-// service surface: pinned multi-queue ingestion, training, grouped
-// queries and the per-shard stats breakdown.
+// service surface: concurrent Ingest calls, training, grouped queries and
+// the per-shard stats breakdown.
 func TestShardedTopicEndToEnd(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"memory": func() Config {
@@ -31,18 +32,21 @@ func TestShardedTopicEndToEnd(t *testing.T) {
 			if err := s.CreateTopic("app"); err != nil {
 				t.Fatal(err)
 			}
-			ing, err := s.NewIngester("app", 4, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
 			lines := genLines(800, 1)
-			for _, line := range lines {
-				if err := ing.Submit(line); err != nil {
-					t.Fatal(err)
-				}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				part := lines[g*200 : (g+1)*200]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := s.Ingest("app", part); err != nil {
+						t.Error(err)
+					}
+				}()
 			}
-			if err := ing.Close(); err != nil {
-				t.Fatal(err)
+			wg.Wait()
+			if t.Failed() {
+				t.FailNow()
 			}
 			if err := s.Train("app"); err != nil {
 				t.Fatal(err)
@@ -71,7 +75,7 @@ func TestShardedTopicEndToEnd(t *testing.T) {
 			if total != len(lines) {
 				t.Fatalf("shard records sum %d, want %d", total, len(lines))
 			}
-			// Queue→shard affinity spreads the batch over every shard.
+			// Round-robin AppendBatch spreads every batch over every shard.
 			if busy != 4 {
 				t.Fatalf("only %d of 4 shards received records", busy)
 			}

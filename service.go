@@ -23,9 +23,6 @@ type (
 	// history is pushed down to sealed-segment metadata, so only blocks
 	// overlapping the range are read.
 	TimeRange = service.TimeRange
-	// Ingester is the asynchronous multi-queue ingestion pipeline (§3
-	// "Parallel"); create one with Service.NewIngester.
-	Ingester = service.Ingester
 )
 
 // NewService creates a log-parsing service.
