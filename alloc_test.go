@@ -14,8 +14,10 @@ import (
 	"time"
 
 	"bytebrain"
+	"bytebrain/internal/datagen"
 	"bytebrain/internal/netingest"
 	"bytebrain/internal/obs"
+	"bytebrain/internal/segment"
 )
 
 const (
@@ -34,6 +36,13 @@ const (
 	// clusterer that rebuilt per-position token maps after every pass
 	// measured ~5000.
 	allocBudgetTrainBytesPerLine = 1300
+	// allocBudgetSealPerRecord bounds allocations per record of one
+	// segment.Encode of a 4 MiB HDFS block (currently two per block, the
+	// blob and its bloom: encoder scratch and the flate writer are
+	// pooled).
+	// The encoder that split every line three times and kept four
+	// per-template maps measured ~4.0.
+	allocBudgetSealPerRecord = 0.05
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -210,6 +219,35 @@ func TestAllocBudget(t *testing.T) {
 		if bres.AllocsPerOp() > allocBudgetPerMatch {
 			t.Fatalf("match allocations regressed: %d allocs/op exceeds budget %d",
 				bres.AllocsPerOp(), allocBudgetPerMatch)
+		}
+	})
+	t.Run("seal", func(t *testing.T) {
+		hdfs, err := datagen.LogHub2("HDFS", 80000/float64(datagen.FullLogHub2Lines("HDFS")), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := time.Unix(1700000000, 0)
+		var recs []segment.Record
+		for i, raw := 0, 0; raw+len(hdfs.Lines[i]) <= 4<<20; i++ {
+			raw += len(hdfs.Lines[i])
+			recs = append(recs, segment.Record{
+				Offset:     int64(i),
+				Time:       base.Add(time.Duration(i) * time.Millisecond),
+				Raw:        hdfs.Lines[i],
+				TemplateID: uint64(hdfs.Truth[i]) + 1,
+			})
+		}
+		perBlock := testing.AllocsPerRun(5, func() {
+			if _, _, err := segment.Encode(recs, segment.CodecFlate); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perRecord := perBlock / float64(len(recs))
+		t.Logf("seal: %.0f allocs per %d-record 4 MiB block = %.4f allocs/record (budget %.2f)",
+			perBlock, len(recs), perRecord, allocBudgetSealPerRecord)
+		if perRecord > allocBudgetSealPerRecord {
+			t.Fatalf("seal allocations regressed: %.4f allocs/record exceeds budget %.2f",
+				perRecord, allocBudgetSealPerRecord)
 		}
 	})
 }

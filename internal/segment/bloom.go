@@ -24,7 +24,9 @@ const (
 
 // newBloom sizes a filter for n distinct tokens, capped at the size the
 // reader accepts (huge segments degrade to a higher false-positive rate
-// rather than producing blobs Open would reject).
+// rather than producing blobs Open would reject). Encode passes the
+// distinct count: sized by total token occurrences, a block of repeated
+// lines would carry a filter hundreds of times larger than it needs.
 func newBloom(n int) *bloom {
 	bits := (n*bloomBitsPerToken + 7) / 8
 	if bits < 8 {

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Codec selects the payload compression scheme of a segment.
@@ -44,24 +45,49 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-// compress encodes src with the codec.
-func (c Codec) compress(src []byte) ([]byte, error) {
+// flateState is one pooled DEFLATE writer together with the sink it
+// appends to, so a seal reuses the compressor's window and hash tables
+// (several hundred KiB) instead of allocating them per block.
+type flateState struct {
+	w   *flate.Writer
+	out appendWriter
+}
+
+// appendWriter is an io.Writer that appends to a byte slice.
+type appendWriter struct{ b []byte }
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
+}
+
+var flatePool = sync.Pool{New: func() any {
+	s := &flateState{}
+	// NewWriter fails only on an invalid level.
+	s.w, _ = flate.NewWriter(&s.out, flate.DefaultCompression)
+	return s
+}}
+
+// compress appends the codec's encoding of src to dst and returns the
+// extended slice.
+func (c Codec) compress(dst, src []byte) ([]byte, error) {
 	switch c {
 	case CodecNone:
-		return src, nil
+		return append(dst, src...), nil
 	case CodecFlate:
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.DefaultCompression)
+		s := flatePool.Get().(*flateState)
+		s.out.b = dst
+		s.w.Reset(&s.out)
+		_, err := s.w.Write(src)
+		if err == nil {
+			err = s.w.Close()
+		}
+		dst, s.out.b = s.out.b, nil
+		flatePool.Put(s)
 		if err != nil {
 			return nil, fmt.Errorf("segment: flate: %w", err)
 		}
-		if _, err := w.Write(src); err != nil {
-			return nil, fmt.Errorf("segment: flate: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("segment: flate: %w", err)
-		}
-		return buf.Bytes(), nil
+		return dst, nil
 	default:
 		return nil, fmt.Errorf("segment: compress with unknown codec %s", c)
 	}

@@ -67,12 +67,6 @@ const (
 	maxRecords = 1 << 28
 )
 
-// splitColumns splits a raw line into its space-separated columns. The
-// split is lossless for every string: joining the columns with single
-// spaces reproduces the input byte-for-byte (empty columns preserve runs
-// of spaces).
-func splitColumns(raw string) []string { return strings.Split(raw, " ") }
-
 // Tokenize is the single search tokenization of the segment layer: the
 // whitespace-delimited tokens of a raw line. The bloom filter built at
 // seal time, Reader.SearchRangeInfo at query time, and the hot-topic token index
@@ -123,7 +117,7 @@ func asciiSpace(c byte) bool {
 	return false
 }
 
-// joinColumns inverts splitColumns.
+// joinColumns inverts the encoder's column split (encoder.split).
 func joinColumns(cols []string) string { return strings.Join(cols, " ") }
 
 // Stats summarizes one encoded segment.

@@ -285,7 +285,7 @@ func TestOutOfOrderTimesWithinBlock(t *testing.T) {
 
 // TestCompressionRatioSyntheticDatasets is the acceptance bound: on the
 // bundled synthetic LogHub datasets, a flate segment must encode to at
-// most 40% of the raw bytes.
+// most 25% of the raw bytes.
 func TestCompressionRatioSyntheticDatasets(t *testing.T) {
 	for _, name := range []string{"HDFS", "Apache", "Linux", "Zookeeper", "Spark"} {
 		ds, err := datagen.LogHub(name, 1)
@@ -308,8 +308,8 @@ func TestCompressionRatioSyntheticDatasets(t *testing.T) {
 		ratio := float64(len(blob)) / float64(stats.RawBytes)
 		t.Logf("%s: %d raw -> %d encoded (%.1f%%), %d dict entries, %d tokens",
 			name, stats.RawBytes, len(blob), 100*ratio, stats.DictEntries, stats.Tokens)
-		if ratio > 0.40 {
-			t.Errorf("%s: compression ratio %.1f%% exceeds 40%% bound", name, 100*ratio)
+		if ratio > 0.25 {
+			t.Errorf("%s: compression ratio %.1f%% exceeds 25%% bound", name, 100*ratio)
 		}
 	}
 }
