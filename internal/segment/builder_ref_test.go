@@ -18,8 +18,9 @@ import (
 )
 
 // This file keeps the segment encoder as it was before sealing became a
-// single pass — columns split once per use, four per-template maps, a
-// bloom sized by the total token count — as the oracle the single-pass
+// single pass — each line split three times (once into columns, twice
+// into search tokens), four per-template maps, a bloom sized by the
+// total token count — as the oracle the single-pass
 // Encode is checked against. Only the name changed, and compress now
 // takes the buffer it appends to. Everything but the bloom section must
 // come out byte-identical.
