@@ -10,6 +10,7 @@ package bytebrain_test
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -39,10 +40,15 @@ const (
 	// allocBudgetSealPerRecord bounds allocations per record of one
 	// segment.Encode of a 4 MiB HDFS block (currently two per block, the
 	// blob and its bloom: encoder scratch and the flate writer are
-	// pooled).
+	// cached).
 	// The encoder that split every line three times and kept four
 	// per-template maps measured ~4.0.
 	allocBudgetSealPerRecord = 0.05
+	// allocBudgetSealBytesPerRecord bounds heap bytes per record of the
+	// same Encode run right after a garbage collection, the way a service
+	// seals (currently ~13: the blob and its bloom). Scratch kept in a
+	// sync.Pool, which a collection empties, measured ~313.
+	allocBudgetSealBytesPerRecord = 40
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -248,6 +254,27 @@ func TestAllocBudget(t *testing.T) {
 		if perRecord > allocBudgetSealPerRecord {
 			t.Fatalf("seal allocations regressed: %.4f allocs/record exceeds budget %.2f",
 				perRecord, allocBudgetSealPerRecord)
+		}
+
+		// Back-to-back calls above cannot see scratch that a collection
+		// drops; collect before every Encode and count heap bytes.
+		const runs = 5
+		var before, after runtime.MemStats
+		var bytes uint64
+		for range runs {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, _, err := segment.Encode(recs, segment.CodecFlate); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+		perRecordBytes := float64(bytes) / runs / float64(len(recs))
+		t.Logf("seal after GC: %.1f B/record (budget %d)", perRecordBytes, allocBudgetSealBytesPerRecord)
+		if perRecordBytes > allocBudgetSealBytesPerRecord {
+			t.Fatalf("seal scratch does not survive GC: %.1f B/record exceeds budget %d",
+				perRecordBytes, allocBudgetSealBytesPerRecord)
 		}
 	})
 }

@@ -41,8 +41,8 @@ func main() {
 		threshold    = flag.Float64("threshold", 0.7, "default query threshold")
 		parallel     = flag.Int("parallel", 4, "parser worker count")
 		seed         = flag.Int64("seed", 1, "clustering seed")
-		dataDir      = flag.String("data-dir", "", "persist topics (compacting segment store + model snapshots) under this directory; empty = in-memory")
-		segmentBytes = flag.Int64("segment-bytes", 0, "seal hot blocks of this raw size into compressed columnar segments (0 = default 4 MiB when -data-dir is set; in-memory otherwise)")
+		dataDir      = flag.String("data-dir", "", "persist topics (write-ahead log, sealed segments, model snapshots) under this directory; empty = sealed segments kept in memory")
+		segmentBytes = flag.Int64("segment-bytes", 0, "seal hot blocks of this raw size into compressed columnar segments (0 = default 4 MiB)")
 		segmentCodec = flag.String("segment-codec", "flate", "sealed-segment payload codec: flate or none")
 		topicShards  = flag.Int("topic-shards", 1, "fan each topic's store out over this many shards, each batch split round-robin across them, so concurrent appends spread over several store mutexes (1 = single store; a persisted topic's shard count must not shrink)")
 		snapRetain   = flag.Int("snapshot-retain", 0, "keep only this many newest model snapshots per topic (0 = keep all)")

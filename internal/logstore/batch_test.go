@@ -10,8 +10,8 @@ import (
 )
 
 // batchCase builds one store layout for the AppendBatch suites. reopen
-// says whether the layout can be rebuilt from its directory (pure
-// in-memory layouts cannot recover).
+// says whether the layout can be rebuilt from its directory (in-memory
+// layouts, which have none, cannot recover).
 type batchCase struct {
 	name   string
 	open   func(t *testing.T, dir string) Store
@@ -21,14 +21,11 @@ type batchCase struct {
 func batchCases() []batchCase {
 	return []batchCase{
 		{"topic", func(t *testing.T, dir string) Store { return NewStore("t") }, false},
-		// DataDir alone: the compacting store at its default seal size.
+		// Dir alone: the compacting store at its default seal size.
 		{"compacting-default", func(t *testing.T, dir string) Store {
-			s, err := OpenStore("t", dir, 0, segment.CodecFlate, StoreOptions{})
+			s, err := OpenCompacting("t", CompactConfig{Dir: dir, Codec: segment.CodecFlate})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if _, ok := s.(*CompactingStore); !ok {
-				t.Fatalf("OpenStore(dir, 0) = %T, want *CompactingStore", s)
 			}
 			return s
 		}, true},
@@ -48,6 +45,22 @@ func batchCases() []batchCase {
 			}
 			return s
 		}, true},
+		// In memory, sealing: a tiny threshold forces rotation mid-batch
+		// into sealed blobs held in RAM.
+		{"compacting-mem-sealed", func(t *testing.T, dir string) Store {
+			s, err := OpenCompacting("t", CompactConfig{SegmentBytes: 256, Codec: segment.CodecFlate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, false},
+		{"sharded-mem-sealed", func(t *testing.T, dir string) Store {
+			s, err := OpenSharded("t", ShardConfig{Shards: 2, SegmentBytes: 256, Codec: segment.CodecFlate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, false},
 		{"sharded-mem", func(t *testing.T, dir string) Store {
 			s, err := OpenSharded("t", ShardConfig{Shards: 3})
 			if err != nil {
@@ -175,12 +188,8 @@ func TestAppendBatchEquivalence(t *testing.T) {
 					t.Fatalf("batch %d: AppendBatch first offset %d, singleton batches %d", bi, got, wantFirst)
 				}
 			}
-			if c, ok := one.(Compactor); ok {
-				c.WaitIdle()
-			}
-			if c, ok := batch.(Compactor); ok {
-				c.WaitIdle()
-			}
+			one.WaitIdle()
+			batch.WaitIdle()
 			diffStores(t, "live", one, batch)
 
 			if !tc.reopen {

@@ -24,15 +24,6 @@ import (
 // recovers.
 var ErrDegraded = errors.New("logstore: store degraded (read-only)")
 
-// Degrader is implemented by stores that can shed writes under disk
-// pressure. Degraded reports whether the store currently rejects
-// appends and, if so, the failure that drove it there. For a sharded
-// store the bool is "fully degraded" (every shard); use ShardStats for
-// per-shard state.
-type Degrader interface {
-	Degraded() (bool, error)
-}
-
 // isDiskFull reports whether err is the out-of-space condition that
 // retrying cannot fix — the signal to degrade immediately instead of
 // burning retries.
@@ -44,13 +35,14 @@ func isDiskFull(err error) bool {
 type CompactConfig struct {
 	// Dir, when set, persists sealed segments and a write-ahead log for
 	// the hot block there; the store recovers both after a restart.
-	// Empty keeps sealed segments as compressed in-memory blobs (still a
-	// large RAM win over raw lines).
+	// Empty is the in-memory store: no WAL, and sealed segments are kept
+	// as compressed blobs in RAM (a large win over raw lines).
 	Dir string
 	// SegmentBytes seals the hot block once its raw payload reaches this
 	// size (default 4 MiB).
 	SegmentBytes int64
-	// Codec compresses sealed payloads (default flate).
+	// Codec compresses sealed payloads; the zero value is
+	// segment.CodecNone.
 	Codec segment.Codec
 	// Opts carries the metrics bundle and WAL fsync policy.
 	Opts StoreOptions
@@ -322,7 +314,7 @@ func (s *CompactingStore) recover() error {
 		// WAL-only block: replay it into a hot Topic. Recovered blocks
 		// re-queue for sealing, except that the newest one may resume
 		// as the live hot block (see below).
-		hot := NewTopic(s.name)
+		hot := NewTopic()
 		if err := replayWAL(s.fs, walIdx[i], hot, s.m); err != nil {
 			return err
 		}
@@ -361,7 +353,7 @@ func (s *CompactingStore) startHotLocked() error {
 		idx = last.idx + 1
 		first = last.first + last.count()
 	}
-	b := &compactBlock{idx: idx, first: first, hot: NewTopic(s.name)}
+	b := &compactBlock{idx: idx, first: first, hot: NewTopic()}
 	if s.cfg.Dir != "" {
 		path := filepath.Join(s.cfg.Dir, fmt.Sprintf("%s%06d%s", walPrefix, idx, walSuffix))
 		w, err := openWAL(s.fs, path, s.m)
@@ -627,7 +619,7 @@ func (s *CompactingStore) setDegradedLocked(err error) {
 	s.kickSealer()
 }
 
-// Degraded implements Degrader.
+// Degraded implements Store.
 func (s *CompactingStore) Degraded() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

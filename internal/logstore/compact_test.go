@@ -394,13 +394,9 @@ func TestLegacyDiskTopicDirRefused(t *testing.T) {
 			writeLegacyRecordFile(t, dir)
 			return OpenCompacting("t", CompactConfig{Dir: dir})
 		},
-		"OpenStore/data-dir-only": func(dir string) (Store, error) {
+		"OpenCompacting/segment-bytes": func(dir string) (Store, error) {
 			writeLegacyRecordFile(t, dir)
-			return OpenStore("t", dir, 0, segment.CodecFlate, StoreOptions{})
-		},
-		"OpenStore/segment-bytes": func(dir string) (Store, error) {
-			writeLegacyRecordFile(t, dir)
-			return OpenStore("t", dir, 1<<20, segment.CodecFlate, StoreOptions{})
+			return OpenCompacting("t", CompactConfig{Dir: dir, SegmentBytes: 1 << 20, Codec: segment.CodecFlate})
 		},
 		// A sharded disk-topic layout kept its record files inside the
 		// shard directories.

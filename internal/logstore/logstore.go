@@ -92,10 +92,13 @@ func (tr TimeRange) Overlaps(min, max time.Time) bool {
 	return true
 }
 
-// Store is the record-storage interface the service writes through: the
-// in-memory memStore, the persistent CompactingStore, and ShardedStore
-// fanning out over either.
+// Store is the record-storage interface the service writes through:
+// CompactingStore (in memory, or persistent under a directory), and
+// ShardedStore fanning out over several of them. Every store seals its
+// hot blocks, so the seal-control surface (Compactor) and the degraded
+// read-only state are part of the interface.
 type Store interface {
+	Compactor
 	// AppendBatch group-commits a batch of records, all stamped with the
 	// same timestamp, and returns the offset assigned to the first
 	// record. It is the only way in: one lock acquisition, one
@@ -140,31 +143,39 @@ type Store interface {
 	// range straddles are decompressed, and within them only templates
 	// whose own time bounds straddle the boundary.
 	GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup
+	// Degraded reports whether the store currently rejects appends
+	// (disk full or persistent seal failure) and, if so, the failure
+	// that drove it there. For a sharded store the bool is "fully
+	// degraded" (every shard); ShardStats has per-shard state.
+	Degraded() (bool, error)
 	// Close releases resources; further appends fail.
 	Close() error
 }
 
-var _ Store = memStore{}
-
-// memStore adapts Topic to the Store interface.
-type memStore struct{ *Topic }
-
-// NewStore returns an in-memory Store.
-func NewStore(name string) Store { return memStore{NewTopic(name)} }
-
-// AppendBatch implements Store.
-func (m memStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
-	return m.Topic.AppendBatch(ts, recs), nil
+// Compactor is the seal-control surface every Store carries.
+type Compactor interface {
+	// Seal marks current hot blocks for compaction.
+	Seal() error
+	// WaitIdle blocks until no block is pending compaction.
+	WaitIdle()
+	// SealError returns the most recent background seal failure, if any.
+	SealError() error
+	// SegmentStats reports compression counters.
+	SegmentStats() SegmentStats
 }
 
-// Close implements Store.
-func (m memStore) Close() error { return nil }
+// NewStore returns an in-memory compacting store with the default
+// 4 MiB seal size: sealed blocks are kept as flate-compressed blobs in
+// RAM.
+func NewStore(name string) Store {
+	s, _ := OpenCompacting(name, CompactConfig{Codec: segment.CodecFlate}) // cannot fail without a Dir
+	return s
+}
 
-// Topic is an append-only record log with a template index and a token
-// index. All methods are safe for concurrent use.
+// Topic is the hot block of a CompactingStore: an append-only record log
+// with a template index and a token index. All methods are safe for
+// concurrent use.
 type Topic struct {
-	name string
-
 	mu       sync.RWMutex
 	records  []Record
 	byTmpl   map[uint64][]int64
@@ -183,16 +194,12 @@ type Topic struct {
 }
 
 // NewTopic creates an empty topic.
-func NewTopic(name string) *Topic {
+func NewTopic() *Topic {
 	return &Topic{
-		name:     name,
 		byTmpl:   make(map[uint64][]int64),
 		tokenIdx: make(map[string][]int64),
 	}
 }
-
-// Name returns the topic name.
-func (t *Topic) Name() string { return t.name }
 
 // AppendBatch stores a batch of records under one lock acquisition, all
 // stamped with the same timestamp, and returns the offset assigned to the

@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -35,19 +34,18 @@ type ShardConfig struct {
 	Shards int
 	// Dir, when set, persists each shard under Dir/shard-<i>.
 	Dir string
-	// SegmentBytes is the raw size at which a compacting shard seals its
-	// hot block. Shards are CompactingStores when Dir or SegmentBytes is
-	// set (0 with Dir means the 4 MiB default) and in-memory topics
-	// otherwise — see OpenStore.
+	// SegmentBytes is the raw size at which each shard seals its hot
+	// block (0 means the 4 MiB default). Every shard is a
+	// CompactingStore, persistent under Dir or in memory without it.
 	SegmentBytes int64
-	// Codec compresses sealed payloads (segment store only).
+	// Codec compresses sealed payloads.
 	Codec segment.Codec
 	// Opts carries the metrics bundle and WAL fsync policy, shared by
 	// every shard (their counters aggregate into one topic's totals).
 	Opts StoreOptions
 }
 
-// ShardedStore fans one topic out over N sub-stores so concurrent
+// ShardedStore fans one topic out over N compacting stores so concurrent
 // appends spread over N store mutexes: AppendBatch partitions every batch
 // round-robin and hands each shard its sub-batch in one group commit.
 // Offsets are namespaced shard<<48|local; reads route by the high bits
@@ -58,7 +56,7 @@ type ShardConfig struct {
 type ShardedStore struct {
 	name   string
 	m      *Metrics // never nil; per-shard append counters
-	shards []Store
+	shards []*CompactingStore
 	next   atomic.Uint64 // round-robin cursor of AppendBatch
 }
 
@@ -78,7 +76,7 @@ func OpenSharded(name string, cfg ShardConfig) (*ShardedStore, error) {
 			return nil, err
 		}
 	}
-	s := &ShardedStore{name: name, m: cfg.Opts.Metrics, shards: make([]Store, cfg.Shards)}
+	s := &ShardedStore{name: name, m: cfg.Opts.Metrics, shards: make([]*CompactingStore, cfg.Shards)}
 	for i := range s.shards {
 		sub, err := openShard(name, i, cfg)
 		if err != nil {
@@ -128,39 +126,21 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%03d", shardDirPrefix, i))
 }
 
-// OpenStore builds one store of the kind the knobs select: an in-memory
-// topic when neither dir nor segmentBytes is set, otherwise a compacting
-// segment store (persistent under dir when set; segmentBytes 0 takes the
-// 4 MiB default). It is the single store-selection point shared by the
-// service layer (one store per topic) and ShardedStore (one store per
-// shard).
-func OpenStore(name, dir string, segmentBytes int64, codec segment.Codec, opts StoreOptions) (Store, error) {
-	if dir == "" && segmentBytes <= 0 {
-		return NewStore(name), nil
-	}
-	return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: segmentBytes, Codec: codec, Opts: opts})
-}
-
 // openShard builds one sub-store.
-func openShard(name string, i int, cfg ShardConfig) (Store, error) {
+func openShard(name string, i int, cfg ShardConfig) (*CompactingStore, error) {
 	dir := ""
 	if cfg.Dir != "" {
 		dir = shardDir(cfg.Dir, i)
 	}
-	return OpenStore(name, dir, cfg.SegmentBytes, cfg.Codec, cfg.Opts)
+	return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: cfg.SegmentBytes, Codec: cfg.Codec, Opts: cfg.Opts})
 }
 
 // Shards returns the shard count.
 func (s *ShardedStore) Shards() int { return len(s.shards) }
 
 // shardDegraded reports whether shard i has degraded to read-only.
-// In-memory shards have no degrade concept and never degrade.
 func (s *ShardedStore) shardDegraded(i int) bool {
-	d, ok := s.shards[i].(Degrader)
-	if !ok {
-		return false
-	}
-	deg, _ := d.Degraded()
+	deg, _ := s.shards[i].Degraded()
 	return deg
 }
 
@@ -417,61 +397,28 @@ func (s *ShardedStore) Close() error {
 	return firstErr
 }
 
-// Compactor is the seal-control surface of stores with a background
-// compactor: CompactingStore, and ShardedStore fanning out to compacting
-// shards. The service layer drives forced compaction and compression
-// stats through it without knowing the store topology.
-type Compactor interface {
-	// Seal marks current hot blocks for compaction.
-	Seal() error
-	// WaitIdle blocks until no block is pending compaction.
-	WaitIdle()
-	// SealError returns the most recent background seal failure, if any.
-	SealError() error
-	// SegmentStats reports compression counters.
-	SegmentStats() SegmentStats
-}
-
-var (
-	_ Compactor = (*CompactingStore)(nil)
-	_ Compactor = (*ShardedStore)(nil)
-)
-
-// Seal fans the forced-compaction request out to every compacting shard.
+// Seal fans the forced-compaction request out to every shard.
 func (s *ShardedStore) Seal() error {
-	sealed := false
 	for _, sub := range s.shards {
-		cs, ok := sub.(Compactor)
-		if !ok {
-			continue
-		}
-		sealed = true
-		if err := cs.Seal(); err != nil {
+		if err := sub.Seal(); err != nil {
 			return err
 		}
-	}
-	if !sealed {
-		return errors.New("logstore: sharded topic has no segment store (set a data dir or SegmentBytes)")
 	}
 	return nil
 }
 
-// WaitIdle blocks until every compacting shard's sealer drains.
+// WaitIdle blocks until every shard's sealer drains.
 func (s *ShardedStore) WaitIdle() {
 	for _, sub := range s.shards {
-		if cs, ok := sub.(Compactor); ok {
-			cs.WaitIdle()
-		}
+		sub.WaitIdle()
 	}
 }
 
 // SealError returns the first shard's pending seal failure, if any.
 func (s *ShardedStore) SealError() error {
 	for _, sub := range s.shards {
-		if cs, ok := sub.(Compactor); ok {
-			if err := cs.SealError(); err != nil {
-				return err
-			}
+		if err := sub.SealError(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -481,11 +428,7 @@ func (s *ShardedStore) SealError() error {
 func (s *ShardedStore) SegmentStats() SegmentStats {
 	var out SegmentStats
 	for _, sub := range s.shards {
-		cs, ok := sub.(Compactor)
-		if !ok {
-			continue
-		}
-		st := cs.SegmentStats()
+		st := sub.SegmentStats()
 		out.Segments += st.Segments
 		out.SealedRecords += st.SealedRecords
 		out.HotRecords += st.HotRecords
@@ -497,32 +440,23 @@ func (s *ShardedStore) SegmentStats() SegmentStats {
 	return out
 }
 
-var _ Degrader = (*ShardedStore)(nil)
-
-// Degraded implements Degrader: the sharded store is degraded only when
+// Degraded implements Store: the sharded store is degraded only when
 // EVERY shard has degraded — while any healthy shard remains,
 // AppendBatch routes around the sick ones and ingest stays available. The
 // error reported is the first degraded shard's cause, annotated with
 // its index.
 func (s *ShardedStore) Degraded() (bool, error) {
 	var firstErr error
-	deg := 0
 	for i, sub := range s.shards {
-		d, ok := sub.(Degrader)
-		if !ok {
-			return false, nil // an in-memory shard never degrades
+		deg, err := sub.Degraded()
+		if !deg {
+			return false, nil
 		}
-		if isDeg, err := d.Degraded(); isDeg {
-			deg++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %03d: %w", i, err)
-			}
+		if firstErr == nil {
+			firstErr = fmt.Errorf("shard %03d: %w", i, err)
 		}
 	}
-	if deg == len(s.shards) && deg > 0 {
-		return true, firstErr
-	}
-	return false, nil
+	return true, firstErr
 }
 
 // DegradedShards counts shards currently in degraded read-only mode.
@@ -536,14 +470,11 @@ func (s *ShardedStore) DegradedShards() int {
 	return n
 }
 
-// Flush forces buffered WAL bytes to the OS on every compacting shard
-// (in-memory shards have nothing to flush).
+// Flush forces buffered WAL bytes to the OS on every shard.
 func (s *ShardedStore) Flush() error {
 	for _, sub := range s.shards {
-		if cs, ok := sub.(*CompactingStore); ok {
-			if err := cs.Flush(); err != nil {
-				return err
-			}
+		if err := sub.Flush(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -557,7 +488,8 @@ type ShardStat struct {
 	// Records and Bytes count the shard's stored records and raw payload.
 	Records int
 	Bytes   int64
-	// Segment-store counters, zero for non-compacting shards.
+	// Segment-store counters: sealed blocks, their records, the records
+	// still hot, and the sealed blocks' encoded size.
 	Segments        int   `json:",omitempty"`
 	SealedRecords   int   `json:",omitempty"`
 	HotRecords      int   `json:",omitempty"`
@@ -574,13 +506,11 @@ func (s *ShardedStore) ShardStats() []ShardStat {
 	for i, sub := range s.shards {
 		st := ShardStat{Shard: i, Records: sub.Len(), Bytes: sub.Bytes()}
 		st.Degraded = s.shardDegraded(i)
-		if cs, ok := sub.(Compactor); ok {
-			sst := cs.SegmentStats()
-			st.Segments = sst.Segments
-			st.SealedRecords = sst.SealedRecords
-			st.HotRecords = sst.HotRecords
-			st.CompressedBytes = sst.CompressedBytes
-		}
+		sst := sub.SegmentStats()
+		st.Segments = sst.Segments
+		st.SealedRecords = sst.SealedRecords
+		st.HotRecords = sst.HotRecords
+		st.CompressedBytes = sst.CompressedBytes
 		out[i] = st
 	}
 	return out

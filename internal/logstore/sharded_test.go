@@ -177,14 +177,22 @@ func TestShardedCompactionFanOut(t *testing.T) {
 			t.Fatalf("ShardStats = %+v", sh)
 		}
 	}
-	// Sealing a shard-of-plain-topics store reports the absence loudly.
+	// Without a Dir the shards seal the same way, into in-memory blobs.
 	mem, err := OpenSharded("m", ShardConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if err := mem.Seal(); err == nil || !strings.Contains(err.Error(), "no segment store") {
-		t.Fatalf("Seal on plain shards = %v", err)
+	fillSharded(t, mem, 200, 0)
+	if err := mem.Seal(); err != nil {
+		t.Fatalf("Seal on in-memory shards = %v", err)
+	}
+	mem.WaitIdle()
+	if err := mem.SealError(); err != nil {
+		t.Fatal(err)
+	}
+	if st := mem.SegmentStats(); st.Segments != 2 || st.SealedRecords != 200 {
+		t.Fatalf("in-memory SegmentStats = %+v, want 2 segments / 200 sealed", st)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"slices"
-	"sync"
+	"sync/atomic"
 )
 
 // groupKey identifies one dictionary entry: the records of a template
@@ -34,9 +34,9 @@ type group struct {
 // disagree on.
 const variableCol = -1
 
-// encoder is the scratch state of one Encode call. Encoders are pooled,
-// so a stream of seals reuses the same slices and maps instead of
-// allocating per record.
+// encoder is the scratch state of one Encode call. One encoder is cached
+// between calls, so a stream of seals reuses the same slices and maps
+// instead of allocating per record.
 type encoder struct {
 	ends     []int // every record's column end offsets, back to back
 	start    []int // record i's column ends are ends[start[i]:start[i+1]]
@@ -55,18 +55,29 @@ type encoder struct {
 	meta     []byte
 }
 
-var encoderPool = sync.Pool{New: func() any {
-	return &encoder{groupOf: make(map[groupKey]int), tokenID: make(map[string]int)}
-}}
+// spareEncoder is the encoder cache: a single slot, not a sync.Pool,
+// because the garbage collector empties pools and a service seals at
+// most once per block, with collections in between — a pooled encoder
+// would rarely survive from one seal to the next. An Encode that finds
+// the slot empty (a concurrent seal holds it) builds its own.
+var spareEncoder atomic.Pointer[encoder]
 
-// release drops every reference into the caller's records, so a pooled
-// encoder does not keep sealed lines alive, and returns e to the pool.
+// getEncoder takes the cached encoder, or builds one.
+func getEncoder() *encoder {
+	if e := spareEncoder.Swap(nil); e != nil {
+		return e
+	}
+	return &encoder{groupOf: make(map[groupKey]int), tokenID: make(map[string]int)}
+}
+
+// release drops every reference into the caller's records, so the cached
+// encoder does not keep sealed lines alive, and puts e back in the slot.
 func (e *encoder) release() {
 	clear(e.tokens)
 	clear(e.fields)
 	clear(e.groupOf)
 	clear(e.tokenID)
-	encoderPool.Put(e)
+	spareEncoder.Store(e)
 }
 
 // Encode seals records into one immutable segment blob.
@@ -97,7 +108,7 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 				records[i].Offset, i, first+int64(i))
 		}
 	}
-	e := encoderPool.Get().(*encoder)
+	e := getEncoder()
 	defer e.release()
 
 	// Split each line once, group the records by (template, column

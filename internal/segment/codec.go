@@ -5,7 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 )
 
 // Codec selects the payload compression scheme of a segment.
@@ -45,7 +45,7 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-// flateState is one pooled DEFLATE writer together with the sink it
+// flateState is one cached DEFLATE writer together with the sink it
 // appends to, so a seal reuses the compressor's window and hash tables
 // (several hundred KiB) instead of allocating them per block.
 type flateState struct {
@@ -61,12 +61,20 @@ func (a *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-var flatePool = sync.Pool{New: func() any {
+// spareFlate is the writer cache: a single slot that, unlike a
+// sync.Pool, survives garbage collections (see spareEncoder).
+var spareFlate atomic.Pointer[flateState]
+
+// getFlate takes the cached writer, or builds one.
+func getFlate() *flateState {
+	if s := spareFlate.Swap(nil); s != nil {
+		return s
+	}
 	s := &flateState{}
 	// NewWriter fails only on an invalid level.
 	s.w, _ = flate.NewWriter(&s.out, flate.DefaultCompression)
 	return s
-}}
+}
 
 // compress appends the codec's encoding of src to dst and returns the
 // extended slice.
@@ -75,7 +83,7 @@ func (c Codec) compress(dst, src []byte) ([]byte, error) {
 	case CodecNone:
 		return append(dst, src...), nil
 	case CodecFlate:
-		s := flatePool.Get().(*flateState)
+		s := getFlate()
 		s.out.b = dst
 		s.w.Reset(&s.out)
 		_, err := s.w.Write(src)
@@ -83,7 +91,7 @@ func (c Codec) compress(dst, src []byte) ([]byte, error) {
 			err = s.w.Close()
 		}
 		dst, s.out.b = s.out.b, nil
-		flatePool.Put(s)
+		spareFlate.Store(s)
 		if err != nil {
 			return nil, fmt.Errorf("segment: flate: %w", err)
 		}

@@ -35,7 +35,7 @@ var scanBufPool = sync.Pool{
 //	                                   line (?async=1 is refused with 400)
 //	POST /topics/{name}/train          force a training cycle
 //	POST /topics/{name}/compact        seal the hot block into a
-//	                                   compressed segment (segment store)
+//	                                   compressed segment
 //	GET  /topics/{name}/query?threshold=0.7
 //	                                   records grouped by template at the
 //	                                   given precision (the web UI slider);
@@ -313,8 +313,6 @@ func httpTopicError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	} else if strings.Contains(err.Error(), "no trained model") {
 		status = http.StatusConflict
-	} else if strings.Contains(err.Error(), "no segment store") {
-		status = http.StatusBadRequest
 	} else if strings.Contains(err.Error(), "service: closed") {
 		status = http.StatusServiceUnavailable
 	}

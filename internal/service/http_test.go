@@ -122,18 +122,11 @@ func TestHTTPMissingTopic(t *testing.T) {
 	}
 }
 
-// TestHTTPCompactRoute covers the segment-store compaction endpoint,
-// including the 400 when the topic has no segment store.
+// TestHTTPCompactRoute covers the compaction endpoint on the default
+// in-memory config, which seals like every other store, and on an
+// unknown topic.
 func TestHTTPCompactRoute(t *testing.T) {
-	// Fixture service has no segment store configured.
-	srv := newHTTPFixture(t)
-	if resp := do(t, srv, "POST", "/topics/app/compact", ""); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("compact without segment store = %d, want 400", resp.StatusCode)
-	}
-
-	cfg := testConfig()
-	cfg.SegmentBytes = 1 << 20
-	s := New(cfg)
+	s := New(testConfig())
 	defer s.Close()
 	if err := s.CreateTopic("app"); err != nil {
 		t.Fatal(err)
@@ -141,10 +134,13 @@ func TestHTTPCompactRoute(t *testing.T) {
 	if err := s.Ingest("app", genLines(200, 3)); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(s.Handler())
-	defer srv2.Close()
-	if resp := do(t, srv2, "POST", "/topics/app/compact", ""); resp.StatusCode != http.StatusNoContent {
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if resp := do(t, srv, "POST", "/topics/app/compact", ""); resp.StatusCode != http.StatusNoContent {
 		t.Errorf("compact = %d, want 204", resp.StatusCode)
+	}
+	if resp := do(t, srv, "POST", "/topics/ghost/compact", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("compact unknown topic = %d, want 404", resp.StatusCode)
 	}
 	stats, err := s.TopicStats("app")
 	if err != nil {

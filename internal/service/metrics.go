@@ -249,18 +249,14 @@ func (m *serviceMetrics) bindTopicGauges(st *topicState) {
 		return int64(len(st.buffer))
 	}, st.name)
 	m.topicTrainings.Bind(func() int64 { return st.trainings.Load() }, st.name)
-	if cs, ok := st.store.(logstore.Compactor); ok {
-		m.topicSegments.Bind(func() int64 { return int64(cs.SegmentStats().Segments) }, st.name)
-		m.blocksRead.Bind(func() int64 { return cs.SegmentStats().BlockReads }, st.name)
-	}
-	if d, ok := st.store.(logstore.Degrader); ok {
-		m.storeDegraded.Bind(func() int64 {
-			if deg, _ := d.Degraded(); deg {
-				return 1
-			}
-			return 0
-		}, st.name)
-	}
+	m.topicSegments.Bind(func() int64 { return int64(st.store.SegmentStats().Segments) }, st.name)
+	m.blocksRead.Bind(func() int64 { return st.store.SegmentStats().BlockReads }, st.name)
+	m.storeDegraded.Bind(func() int64 {
+		if deg, _ := st.store.Degraded(); deg {
+			return 1
+		}
+		return 0
+	}, st.name)
 }
 
 // observeQuery records one served query: per-kind latency and count, plus

@@ -166,6 +166,33 @@ func TestDataDirAloneIsCompacting(t *testing.T) {
 	}
 }
 
+// TestInMemoryDefaultIsCompacting: the zero Config (no DataDir, no
+// SegmentBytes) runs the same compacting store in memory, so a default
+// service compacts on demand and reports segment stats and gauges.
+func TestInMemoryDefaultIsCompacting(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest("app", genLines(200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact("app"); err != nil {
+		t.Fatalf("Compact on a default-config topic: %v", err)
+	}
+	stats, err := s.TopicStats("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Segments != 1 || stats.SegmentRecords != 200 || stats.SegmentCompressedBytes == 0 || stats.SegmentCodec != "flate" {
+		t.Fatalf("segment stats hidden or wrong after Compact: %+v", stats)
+	}
+	if _, vals := scrape(t, s.Handler()); vals[`bb_topic_segments{topic="app"}`] != 1 {
+		t.Errorf(`bb_topic_segments{topic="app"} = %v, want 1`, vals[`bb_topic_segments{topic="app"}`])
+	}
+}
+
 // TestLegacyDiskTopicDirRefused: a topic directory written by the retired
 // plain disk store (segment-NNNNNN.log record files) must fail CreateTopic
 // loudly, unsharded and sharded, instead of opening empty over it.

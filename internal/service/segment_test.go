@@ -132,14 +132,19 @@ func TestServiceSegmentStorePersistence(t *testing.T) {
 	}
 }
 
+// TestCompactRequiresSegmentStore: every topic has a segment store, so
+// Compact succeeds on the default config; only an unknown topic fails.
 func TestCompactRequiresSegmentStore(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	if err := svc.CreateTopic("plain"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Compact("plain"); err == nil {
-		t.Fatal("Compact on a non-segment topic should fail")
+	if err := svc.Ingest("plain", genLines(50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Compact("plain"); err != nil {
+		t.Fatalf("Compact on a default-config topic: %v", err)
 	}
 	if err := svc.Compact("ghost"); err == nil {
 		t.Fatal("Compact on unknown topic should fail")

@@ -52,19 +52,18 @@ type Config struct {
 	// DefaultThreshold is the query threshold when the caller does not
 	// specify one (default 0.7).
 	DefaultThreshold float64
-	// DataDir, when set, persists every topic under DataDir/<topic> in
-	// the template-aware compacting segment store (a write-ahead log for
-	// the hot block plus sealed compressed segments, and model
-	// snapshots); topics recover on restart. Empty keeps everything in
-	// memory.
+	// DataDir, when set, persists every topic under DataDir/<topic>:
+	// the compacting segment store writes a write-ahead log for the hot
+	// block and its sealed compressed segments there, next to the model
+	// snapshots, and topics recover on restart. Empty keeps the same
+	// store in memory, sealed segments as compressed blobs.
 	DataDir string
 	// SegmentBytes is the raw size at which the compacting segment store
 	// seals its hot block: hot writes stay in memory and a background
 	// compactor seals blocks of this size into compressed columnar
-	// segments. 0 means the 4 MiB default when DataDir is set and a
-	// plain in-memory topic otherwise; > 0 without DataDir keeps the
-	// sealed segments as in-memory blobs. Grouped queries push template
-	// IDs down to segment metadata and skip non-matching blocks entirely.
+	// segments. 0 means the 4 MiB default, with or without DataDir.
+	// Grouped queries push template IDs down to segment metadata and
+	// skip non-matching blocks entirely.
 	SegmentBytes int64
 	// SegmentCodec selects the sealed-payload compression: "flate"
 	// (default) or "none".
@@ -78,7 +77,7 @@ type Config struct {
 	// sparse training history. 0 keeps nothing beyond the latest K.
 	SnapshotCheckpointEvery int
 	// TopicShards > 1 fans every topic's store out over this many
-	// sub-stores (each the kind the knobs above select, persisted under
+	// compacting sub-stores (persisted, with DataDir, under
 	// DataDir/<topic>/records/shard-<i>). Every batch is partitioned
 	// round-robin across the shards and each shard takes its sub-batch
 	// under its own mutex, so concurrent ingest calls spread over N store
@@ -372,11 +371,9 @@ func (s *Service) CreateTopic(name string) error {
 			CheckpointEvery: s.cfg.SnapshotCheckpointEvery,
 		})
 	}
-	if s.cfg.DataDir != "" || s.cfg.SegmentBytes > 0 {
-		if err := st.recover(); err != nil {
-			store.Close()
-			return err
-		}
+	if err := st.recover(); err != nil {
+		store.Close()
+		return err
 	}
 	st.wg.Add(1)
 	go s.trainLoop(st)
@@ -385,11 +382,9 @@ func (s *Service) CreateTopic(name string) error {
 	return nil
 }
 
-// openTopicStore builds one topic's record store from the config knobs:
-// sharded when TopicShards > 1 (each shard the kind the remaining knobs
-// select), in-memory when neither DataDir nor SegmentBytes is set, the
-// compacting segment store otherwise. Persistent stores recover existing
-// on-disk state.
+// openTopicStore builds one topic's compacting record store from the
+// config knobs, sharded when TopicShards > 1. With DataDir set it
+// recovers existing on-disk state.
 func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.Store, error) {
 	dir := ""
 	if s.cfg.DataDir != "" {
@@ -418,7 +413,12 @@ func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.St
 			Opts:         opts,
 		})
 	}
-	return logstore.OpenStore(name, dir, s.cfg.SegmentBytes, codec, opts)
+	return logstore.OpenCompacting(name, logstore.CompactConfig{
+		Dir:          dir,
+		SegmentBytes: s.cfg.SegmentBytes,
+		Codec:        codec,
+		Opts:         opts,
+	})
 }
 
 // recover reloads the latest persisted model after a restart and
@@ -676,7 +676,7 @@ type Stats struct {
 	// Query telemetry rollups (details per kind live in /metrics).
 	Queries     int64 `json:",omitempty"`
 	SlowQueries int64 `json:",omitempty"`
-	// WAL telemetry rollups, zero for in-memory topics.
+	// WAL telemetry rollups, zero without DataDir (no WAL).
 	WALFsyncs          int64 `json:",omitempty"`
 	WALPoisonRotations int64 `json:",omitempty"`
 	// Degraded-mode state: Degraded is true while the topic's store has
@@ -689,7 +689,8 @@ type Stats struct {
 	DegradedReason string `json:",omitempty"`
 	DegradedShards int    `json:",omitempty"`
 	SealRetries    int64  `json:",omitempty"`
-	// Segment-store compression counters, zero for in-memory topics.
+	// Segment-store compression counters and codec; the counts stay
+	// zero until the first seal.
 	Segments               int     `json:",omitempty"`
 	SegmentRecords         int     `json:",omitempty"`
 	SegmentRawBytes        int64   `json:",omitempty"`
@@ -744,24 +745,20 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 		stats.SegmentBlocksPruned = met.store.BlocksPruned.Value()
 		stats.SealRetries = met.store.SealRetries.Value()
 	}
-	if d, ok := st.store.(logstore.Degrader); ok {
-		if deg, cause := d.Degraded(); deg {
-			stats.Degraded = true
-			if cause != nil {
-				stats.DegradedReason = cause.Error()
-			}
+	if deg, cause := st.store.Degraded(); deg {
+		stats.Degraded = true
+		if cause != nil {
+			stats.DegradedReason = cause.Error()
 		}
 	}
-	if cs, ok := st.store.(logstore.Compactor); ok {
-		sst := cs.SegmentStats()
-		stats.Segments = sst.Segments
-		stats.SegmentRecords = sst.SealedRecords
-		stats.SegmentRawBytes = sst.RawBytes
-		stats.SegmentCompressedBytes = sst.CompressedBytes
-		stats.SegmentRatio = sst.Ratio()
-		stats.SegmentBlockReads = sst.BlockReads
-		stats.SegmentCodec = sst.Codec
-	}
+	sst := st.store.SegmentStats()
+	stats.Segments = sst.Segments
+	stats.SegmentRecords = sst.SealedRecords
+	stats.SegmentRawBytes = sst.RawBytes
+	stats.SegmentCompressedBytes = sst.CompressedBytes
+	stats.SegmentRatio = sst.Ratio()
+	stats.SegmentBlockReads = sst.BlockReads
+	stats.SegmentCodec = sst.Codec
 	if sh, ok := st.store.(*logstore.ShardedStore); ok {
 		stats.TopicShards = sh.Shards()
 		stats.Shards = sh.ShardStats()
@@ -778,11 +775,7 @@ func (s *Service) DegradedTopics() map[string]string {
 	defer s.mu.RUnlock()
 	var out map[string]string
 	for name, st := range s.topics {
-		d, ok := st.store.(logstore.Degrader)
-		if !ok {
-			continue
-		}
-		deg, cause := d.Degraded()
+		deg, cause := st.store.Degraded()
 		if !deg {
 			continue
 		}
@@ -799,22 +792,17 @@ func (s *Service) DegradedTopics() map[string]string {
 }
 
 // Compact forces the topic's current hot block to seal into a compressed
-// segment and waits for the compactor to drain. It errors when the topic
-// does not use the segment store (neither DataDir nor SegmentBytes set).
+// segment and waits for the compactor to drain.
 func (s *Service) Compact(topicName string) error {
 	st, err := s.topic(topicName)
 	if err != nil {
 		return err
 	}
-	cs, ok := st.store.(logstore.Compactor)
-	if !ok {
-		return fmt.Errorf("service: topic %q has no segment store (set DataDir or SegmentBytes)", topicName)
-	}
-	if err := cs.Seal(); err != nil {
+	if err := st.store.Seal(); err != nil {
 		return err
 	}
-	cs.WaitIdle()
-	return cs.SealError()
+	st.store.WaitIdle()
+	return st.store.SealError()
 }
 
 // TemplateRow is one line of a grouped query result.

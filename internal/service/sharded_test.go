@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,19 +95,16 @@ func TestShardedTopicEndToEnd(t *testing.T) {
 				t.Fatalf("query covered %d of %d records", covered, len(lines))
 			}
 
-			if cfg.SegmentBytes > 0 {
-				if err := s.Compact("app"); err != nil {
-					t.Fatal(err)
-				}
-				stats, err = s.TopicStats("app")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Segments == 0 {
-					t.Fatalf("no sealed segments after Compact: %+v", stats)
-				}
-			} else if err := s.Compact("app"); err == nil || !strings.Contains(err.Error(), "no segment store") {
-				t.Fatalf("Compact without segment store = %v", err)
+			// Every layout seals, the in-memory one included.
+			if err := s.Compact("app"); err != nil {
+				t.Fatal(err)
+			}
+			stats, err = s.TopicStats("app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Segments < 4 || stats.SegmentRecords != len(lines) {
+				t.Fatalf("after Compact: %d segments holding %d records, want at least 4 holding %d", stats.Segments, stats.SegmentRecords, len(lines))
 			}
 		})
 	}
