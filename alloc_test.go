@@ -23,10 +23,11 @@ import (
 
 const (
 	// allocBudgetPerIngestedLine bounds allocations per line on the
-	// steady-state tokenize→match→append path (currently ~3.0: index
-	// growth amortization plus sealed-segment bookkeeping; the per-record
-	// baseline before group commit measured ~8.3).
-	allocBudgetPerIngestedLine = 6.0
+	// steady-state tokenize→match→append path (currently 0.00–0.03: line
+	// cache hits, and amortized growth of the hot block's record slice
+	// and template index; the per-record baseline before group commit
+	// measured ~8.3, and a per-line allocation would show as ≥1).
+	allocBudgetPerIngestedLine = 0.5
 	// allocBudgetPerMatch bounds allocations per uncached Matcher.Match
 	// call (currently 1–2: the token slice, plus the masked line when a
 	// variable was replaced; the template text is cached in the index).

@@ -67,10 +67,13 @@ const (
 	// instead of hiding its records behind fresh offsets.
 	legacyPrefix = "segment-"
 	legacySuffix = ".log"
+	// maxQueuedSeals full blocks may wait for the sealer before
+	// AppendBatch waits too; the writer is faster than one sealer.
+	maxQueuedSeals = 2
 )
 
 // CompactingStore is the hybrid topic store: hot writes land in an
-// in-memory Topic (fully indexed, immediately queryable), and a
+// in-memory Topic (template-indexed, immediately queryable), and a
 // background compactor seals full blocks into immutable template-aware
 // compressed segments. Queries fan out over sealed segments — using
 // template/bloom/time pushdown from segment metadata so non-matching
@@ -91,13 +94,15 @@ type CompactingStore struct {
 	batchesSinceSync int  // WAL commits since the last policy fsync
 	walDirty         bool // WAL bytes written since the last sync
 
-	sealCh  chan struct{}
-	doneCh  chan struct{}
-	sealWG  sync.WaitGroup
-	flushWG sync.WaitGroup
-	idleCh  chan struct{} // closed and replaced whenever seal work finishes
-	sealErr error         // most recent seal/rotation failure; cleared by Seal
-	readErr error         // most recent sealed-segment read failure on a query path
+	sealCh     chan struct{}
+	doneCh     chan struct{}
+	sealed     *sync.Cond // on mu; broadcast after every seal attempt, degrade and close
+	sealerGone bool       // the seal loop has exited; nothing waits on it
+	sealWG     sync.WaitGroup
+	flushWG    sync.WaitGroup
+	idleCh     chan struct{} // closed and replaced whenever seal work finishes
+	sealErr    error         // most recent seal/rotation failure; cleared by Seal
+	readErr    error         // most recent sealed-segment read failure on a query path
 
 	degraded    bool  // read-only mode: appends fail fast with ErrDegraded
 	degradedErr error // what drove the store into degraded mode
@@ -139,6 +144,7 @@ func OpenCompacting(name string, cfg CompactConfig) (*CompactingStore, error) {
 		doneCh: make(chan struct{}),
 		idleCh: make(chan struct{}),
 	}
+	s.sealed = sync.NewCond(&s.mu)
 	if cfg.Dir != "" {
 		if err := s.recover(); err != nil {
 			return nil, err
@@ -386,12 +392,18 @@ func (s *CompactingStore) startHotLocked() error {
 // (sealing rebuilds durability from memory; the fully-written prefix of
 // the batch is admitted, the rest fails) and subsequent appends land in a
 // fresh WAL.
+//
+// While maxQueuedSeals full blocks wait for the sealer, the call first
+// waits for one of them to seal, so hot memory stays bounded.
 func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for !s.closed && !s.degraded && s.sealBacklogLocked() {
+		s.sealed.Wait()
+	}
 	if s.closed {
 		return 0, errors.New("logstore: compacting store closed")
 	}
@@ -498,6 +510,18 @@ func (s *CompactingStore) poisonRotateLocked(b *compactBlock) {
 	}
 }
 
+// sealBacklogLocked reports whether maxQueuedSeals full blocks wait for
+// a seal loop that is still running.
+func (s *CompactingStore) sealBacklogLocked() bool {
+	queued := 0
+	for i := len(s.blocks) - 1; i >= 0 && s.blocks[i].hot != nil; i-- {
+		if s.blocks[i].sealing {
+			queued++
+		}
+	}
+	return !s.sealerGone && queued >= maxQueuedSeals
+}
+
 func (s *CompactingStore) kickSealer() {
 	select {
 	case s.sealCh <- struct{}{}:
@@ -513,6 +537,13 @@ func (s *CompactingStore) kickSealer() {
 // the pending work (plus a scratch probe write) until the disk heals.
 func (s *CompactingStore) sealLoop() {
 	defer s.sealWG.Done()
+	defer func() {
+		// Nothing drains the queue any more: release waiting appends.
+		s.mu.Lock()
+		s.sealerGone = true
+		s.sealed.Broadcast()
+		s.mu.Unlock()
+	}()
 	probe := time.NewTimer(s.cfg.Opts.ProbeInterval)
 	probe.Stop() // armed only while degraded
 	defer probe.Stop()
@@ -615,6 +646,7 @@ func (s *CompactingStore) setDegradedLocked(err error) {
 	s.degraded = true
 	s.degradedErr = err
 	s.m.DegradedEnters.Inc()
+	s.sealed.Broadcast() // waiting appends now fail fast
 	// Wake the seal loop so it arms the recovery probe timer.
 	s.kickSealer()
 }
@@ -760,6 +792,7 @@ func (s *CompactingStore) sealOne() (attempted bool, _ error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.sealed.Broadcast() // success or failure (sealing cleared), the backlog shrank
 	if err != nil {
 		// Keep serving the block from memory and record the failure.
 		// sealing is cleared so WaitIdle and the drain loop do not hang
@@ -1301,6 +1334,7 @@ func (s *CompactingStore) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.sealed.Broadcast()
 	s.mu.Unlock()
 	close(s.doneCh)
 	s.sealWG.Wait()

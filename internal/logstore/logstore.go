@@ -103,13 +103,14 @@ type Store interface {
 	// same timestamp, and returns the offset assigned to the first
 	// record. It is the only way in: one lock acquisition, one
 	// durability write and one index extension per batch, with hot-block
-	// rotation handled mid-batch. The store does not retain recs after
-	// the call. On error a prefix of the batch may have been admitted and
-	// the remainder was not — except on a sharded store routing across
-	// shards, where each shard admits a prefix of ITS sub-batch, so the
-	// surviving records may interleave with lost ones (see
-	// ShardedStore.AppendBatch). An empty batch is a no-op returning
-	// (0, nil).
+	// rotation handled mid-batch. It may first wait for the sealer: at
+	// most two full blocks queue for sealing before appends wait. The
+	// store does not retain recs after the call. On error a prefix of the
+	// batch may have been admitted and the remainder was not — except on
+	// a sharded store routing across shards, where each shard admits a
+	// prefix of ITS sub-batch, so the surviving records may interleave
+	// with lost ones (see ShardedStore.AppendBatch). An empty batch is a
+	// no-op returning (0, nil).
 	AppendBatch(ts time.Time, recs []BatchRecord) (int64, error)
 	// Len returns the record count.
 	Len() int
@@ -173,32 +174,26 @@ func NewStore(name string) Store {
 }
 
 // Topic is the hot block of a CompactingStore: an append-only record log
-// with a template index and a token index. All methods are safe for
-// concurrent use.
+// with a template index. It keeps no token index — token search scans
+// the records, which a seal size bounds (4 MiB by default), so appends
+// pay only for the template index. All methods are safe for concurrent
+// use.
 type Topic struct {
-	mu       sync.RWMutex
-	records  []Record
-	byTmpl   map[uint64][]int64
-	tokenIdx map[string][]int64
-	bytes    int64
+	mu      sync.RWMutex
+	records []Record
+	byTmpl  map[uint64][]int64
+	bytes   int64
 	// minTime and maxTime are the low and high watermarks of appended
 	// timestamps; together they let time-range queries take the index
 	// fast path when the range covers everything the topic holds, and
 	// return nothing when it overlaps none of it.
 	minTime int64
 	maxTime int64
-	// tokScratch is the reusable token buffer of the append path (under
-	// mu): indexing a record's search tokens no longer allocates a fields
-	// slice per line.
-	tokScratch []string
 }
 
 // NewTopic creates an empty topic.
 func NewTopic() *Topic {
-	return &Topic{
-		byTmpl:   make(map[uint64][]int64),
-		tokenIdx: make(map[string][]int64),
-	}
+	return &Topic{byTmpl: make(map[uint64][]int64)}
 }
 
 // AppendBatch stores a batch of records under one lock acquisition, all
@@ -229,15 +224,6 @@ func (t *Topic) appendLocked(ts time.Time, raw string, templateID uint64) {
 	}
 	t.records = append(t.records, Record{Offset: off, Time: ts, Raw: raw, TemplateID: templateID})
 	t.byTmpl[templateID] = append(t.byTmpl[templateID], off)
-	// The token index shares segment.Tokenize with the sealed-segment
-	// bloom filters: hot and sealed search must agree on what a token is,
-	// or results would change when a block seals.
-	t.tokScratch = segment.TokenizeAppend(t.tokScratch[:0], raw)
-	for _, tok := range t.tokScratch {
-		if len(t.tokenIdx[tok]) == 0 || t.tokenIdx[tok][len(t.tokenIdx[tok])-1] != off {
-			t.tokenIdx[tok] = append(t.tokenIdx[tok], off)
-		}
-	}
 	t.bytes += int64(len(raw))
 }
 
@@ -436,28 +422,20 @@ func (t *Topic) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateG
 }
 
 // SearchRange returns the offsets of records containing token (exact
-// whitespace-delimited match) whose timestamp lies in tr, ascending; the
-// zero range copies the token index entry straight out.
+// whitespace-delimited match) whose timestamp lies in tr, ascending. It
+// is one linear pass over the records, testing each line with
+// segment.HasToken — the predicate sealed blocks use, so a record's hits
+// do not change when its block seals.
 func (t *Topic) SearchRange(token string, tr TimeRange) []int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	offs := t.tokenIdx[token]
-	switch t.disposeLocked(tr) {
-	case rangeNone:
-		if !tr.IsZero() {
-			return []int64{}
+	out := []int64{}
+	var scratch []string
+	t.Scan(0, -1, tr, func(r Record) bool {
+		var hit bool
+		if hit, scratch = segment.HasToken(scratch, r.Raw, token); hit {
+			out = append(out, r.Offset)
 		}
-	case rangeFilter:
-		out := make([]int64, 0, len(offs))
-		for _, off := range offs {
-			if tr.Contains(t.records[off].Time) {
-				out = append(out, off)
-			}
-		}
-		return out
-	}
-	out := make([]int64, len(offs))
-	copy(out, offs)
+		return true
+	})
 	return out
 }
 
@@ -518,7 +496,6 @@ var (
 type Internal struct {
 	mu        sync.RWMutex
 	snapshots [][]byte
-	times     []time.Time
 	idxs      []int // write index of each retained snapshot, ascending
 	next      int   // write index the next snapshot gets
 	retain    Retention
@@ -542,7 +519,6 @@ func (in *Internal) pruneLocked() {
 			continue
 		}
 		in.snapshots[kept] = in.snapshots[i]
-		in.times[kept] = in.times[i]
 		in.idxs[kept] = idx
 		kept++
 	}
@@ -550,18 +526,16 @@ func (in *Internal) pruneLocked() {
 		in.snapshots[i] = nil
 	}
 	in.snapshots = in.snapshots[:kept]
-	in.times = in.times[:kept]
 	in.idxs = in.idxs[:kept]
 }
 
 // AppendSnapshot implements SnapshotStore.
-func (in *Internal) AppendSnapshot(ts time.Time, data []byte) error {
+func (in *Internal) AppendSnapshot(_ time.Time, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.snapshots = append(in.snapshots, cp)
-	in.times = append(in.times, ts)
 	in.idxs = append(in.idxs, in.next)
 	in.next++
 	in.pruneLocked()
@@ -592,19 +566,8 @@ func (in *Internal) QuarantineLatest() error {
 	last := len(in.snapshots) - 1
 	in.snapshots[last] = nil
 	in.snapshots = in.snapshots[:last]
-	in.times = in.times[:last]
 	in.idxs = in.idxs[:last]
 	return nil
-}
-
-// LatestSnapshotTime returns when the newest snapshot was stored.
-func (in *Internal) LatestSnapshotTime() (time.Time, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if len(in.times) == 0 {
-		return time.Time{}, ErrNoSnapshot
-	}
-	return in.times[len(in.times)-1], nil
 }
 
 // Snapshots implements SnapshotStore.

@@ -549,17 +549,16 @@ func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, boo
 		return nil, true, err
 	}
 	var out []int64
+	var scratch []string
 	for _, rec := range recs {
 		if !covered {
 			if ns := rec.Time.UnixNano(); ns < lo || ns > hi {
 				continue
 			}
 		}
-		for _, tok := range Tokenize(rec.Raw) {
-			if tok == token {
-				out = append(out, rec.Offset)
-				break
-			}
+		var hit bool
+		if hit, scratch = HasToken(scratch, rec.Raw, token); hit {
+			out = append(out, rec.Offset)
 		}
 	}
 	return out, true, nil

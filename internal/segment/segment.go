@@ -69,12 +69,30 @@ const (
 
 // Tokenize is the single search tokenization of the segment layer: the
 // whitespace-delimited tokens of a raw line. The bloom filter built at
-// seal time, Reader.SearchRangeInfo at query time, and the hot-topic token index
-// in logstore all tokenize through this one function — a divergence
-// between the write and read sides would produce silent false negatives
-// (the bloom filter would screen out blocks that do contain the token
-// under the other tokenization).
+// seal time and HasToken — the per-line predicate of sealed and hot
+// token search — both tokenize this way; a divergence between the write
+// and read sides would produce silent false negatives (the bloom filter
+// would screen out blocks that do contain the token under the other
+// tokenization).
 func Tokenize(raw string) []string { return strings.Fields(raw) }
+
+// HasToken reports whether token is one of Tokenize(raw), the one
+// definition of a search hit that hot and sealed blocks share. A line
+// that does not contain token as a substring is rejected without
+// tokenizing; the rest are tokenized into scratch, which is returned
+// for reuse so a scan over many lines allocates one buffer.
+func HasToken(scratch []string, raw, token string) (bool, []string) {
+	if token == "" || !strings.Contains(raw, token) {
+		return false, scratch
+	}
+	scratch = TokenizeAppend(scratch[:0], raw)
+	for _, tok := range scratch {
+		if tok == token {
+			return true, scratch
+		}
+	}
+	return false, scratch
+}
 
 // TokenizeAppend appends raw's tokens (exactly Tokenize's output) to dst
 // and returns the extended slice, so per-record hot loops can reuse one

@@ -203,6 +203,24 @@ type modelSnapshot struct {
 	cache     atomic.Pointer[lineCacheGen]
 	cacheCap  int64        // 0 → lineCacheCap
 	evictions *obs.Counter // nil-safe; counts generation swaps
+
+	// display memoizes *core.Node → its display template text
+	// (template.MergeConsecutiveWildcards), which every grouped, range
+	// and samples query row would otherwise rebuild. Nodes reachable
+	// from a published snapshot are never mutated: MergeModels widens
+	// clones (cloneNode), and overlay temporaries are immutable once
+	// inserted.
+	display sync.Map
+}
+
+// displayTemplate returns n's display template, memoized per snapshot.
+func (sn *modelSnapshot) displayTemplate(n *core.Node) string {
+	if v, ok := sn.display.Load(n); ok {
+		return v.(string)
+	}
+	text := template.MergeConsecutiveWildcards(n.Template)
+	sn.display.Store(n, text)
+	return text
 }
 
 // lineCacheGen is one bounded generation of the line cache.
@@ -881,7 +899,7 @@ func (s *Service) queryRows(st *topicState, topicName string, threshold float64,
 		if !ok {
 			row = &TemplateRow{TemplateID: rowID}
 			if node != nil {
-				row.Template = template.MergeConsecutiveWildcards(node.Template)
+				row.Template = snap.displayTemplate(node)
 				row.Saturation = node.Saturation
 			} else {
 				// Records ingested before the first training carry no
