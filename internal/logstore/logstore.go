@@ -283,36 +283,29 @@ func (t *Topic) disposeLocked(tr TimeRange) rangeDisposition {
 
 // Scan calls fn for every record in [from, to) offsets whose timestamp
 // lies in tr, until fn returns false. A negative to means "until the
-// end"; the zero TimeRange visits every record.
+// end"; the zero TimeRange visits every record. Only the record slice
+// header and the range disposition are read under mu: records are
+// append-only and never rewritten, so fn runs without the lock and a
+// long scan (a token search over a whole block) never stalls appends.
 func (t *Topic) Scan(from, to int64, tr TimeRange, fn func(Record) bool) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
+	recs, disp := t.records, t.disposeLocked(tr)
+	t.mu.RUnlock()
 	if from < 0 {
 		from = 0
 	}
-	if to < 0 || to > int64(len(t.records)) {
-		to = int64(len(t.records))
+	if to < 0 || to > int64(len(recs)) {
+		to = int64(len(recs))
 	}
-	if from >= to {
+	if from >= to || disp == rangeNone {
 		return
 	}
-	switch t.disposeLocked(tr) {
-	case rangeNone:
-		return
-	case rangeAll:
-		for _, r := range t.records[from:to] {
-			if !fn(r) {
-				return
-			}
+	for _, r := range recs[from:to] {
+		if disp == rangeFilter && !tr.Contains(r.Time) {
+			continue
 		}
-	default:
-		for _, r := range t.records[from:to] {
-			if !tr.Contains(r.Time) {
-				continue
-			}
-			if !fn(r) {
-				return
-			}
+		if !fn(r) {
+			return
 		}
 	}
 }
@@ -496,6 +489,7 @@ var (
 type Internal struct {
 	mu        sync.RWMutex
 	snapshots [][]byte
+	times     []time.Time
 	idxs      []int // write index of each retained snapshot, ascending
 	next      int   // write index the next snapshot gets
 	retain    Retention
@@ -519,6 +513,7 @@ func (in *Internal) pruneLocked() {
 			continue
 		}
 		in.snapshots[kept] = in.snapshots[i]
+		in.times[kept] = in.times[i]
 		in.idxs[kept] = idx
 		kept++
 	}
@@ -526,16 +521,18 @@ func (in *Internal) pruneLocked() {
 		in.snapshots[i] = nil
 	}
 	in.snapshots = in.snapshots[:kept]
+	in.times = in.times[:kept]
 	in.idxs = in.idxs[:kept]
 }
 
 // AppendSnapshot implements SnapshotStore.
-func (in *Internal) AppendSnapshot(_ time.Time, data []byte) error {
+func (in *Internal) AppendSnapshot(ts time.Time, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.snapshots = append(in.snapshots, cp)
+	in.times = append(in.times, ts)
 	in.idxs = append(in.idxs, in.next)
 	in.next++
 	in.pruneLocked()
@@ -566,8 +563,19 @@ func (in *Internal) QuarantineLatest() error {
 	last := len(in.snapshots) - 1
 	in.snapshots[last] = nil
 	in.snapshots = in.snapshots[:last]
+	in.times = in.times[:last]
 	in.idxs = in.idxs[:last]
 	return nil
+}
+
+// LatestSnapshotTime returns when the newest snapshot was stored.
+func (in *Internal) LatestSnapshotTime() (time.Time, error) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if len(in.times) == 0 {
+		return time.Time{}, ErrNoSnapshot
+	}
+	return in.times[len(in.times)-1], nil
 }
 
 // Snapshots implements SnapshotStore.
