@@ -31,7 +31,7 @@ func buildTree(members []*dedup.Unique, o *Options, rng *rand.Rand) *bnode {
 // node (-1 at the root, so any score counts as an improvement). sc is the
 // tree's scratch; the node is done with it before any child is built.
 func buildNode(members []*dedup.Unique, o *Options, rng *rand.Rand, depth int, parentSat float64, sc *scratch) *bnode {
-	st := sc.code(members, o.SemanticHints)
+	st := sc.code(members)
 	sat := st.saturation(o)
 	// Clamp to keep the root-to-leaf saturation sequence non-decreasing,
 	// the invariant query-time rollup relies on (§3: "strictly increases

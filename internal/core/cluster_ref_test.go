@@ -21,7 +21,6 @@ import (
 type refStats struct {
 	counts []map[uint64]int
 	rep    []string
-	typed  []int
 	n      int
 	weight int
 }
@@ -34,7 +33,6 @@ func newRefStats(members []*dedup.Unique) *refStats {
 	st := &refStats{
 		counts: make([]map[uint64]int, m),
 		rep:    members[0].Tokens,
-		typed:  make([]int, m),
 		n:      len(members),
 	}
 	for i := 0; i < m; i++ {
@@ -44,9 +42,6 @@ func newRefStats(members []*dedup.Unique) *refStats {
 		st.weight += u.Count
 		for i, code := range u.Enc {
 			st.counts[i][code]++
-			if typedToken(u.Tokens[i]) {
-				st.typed[i]++
-			}
 		}
 	}
 	return st
@@ -88,13 +83,9 @@ func (st *refStats) add(u *dedup.Unique) {
 			st.counts[i] = make(map[uint64]int, 4)
 		}
 		st.rep = u.Tokens
-		st.typed = make([]int, m)
 	}
 	for i, code := range u.Enc {
 		st.counts[i][code]++
-		if typedToken(u.Tokens[i]) {
-			st.typed[i]++
-		}
 	}
 	st.n++
 	st.weight += u.Count
@@ -103,10 +94,9 @@ func (st *refStats) add(u *dedup.Unique) {
 // saturation scores the oracle's statistics with the one production
 // formula.
 func (st *refStats) saturation(o *Options) float64 {
-	ps := posStats{nu: make([]int32, len(st.counts)), typed: make([]int32, len(st.counts)), n: st.n, weight: st.weight}
+	ps := posStats{nu: make([]int32, len(st.counts)), n: st.n, weight: st.weight}
 	for i := range st.counts {
 		ps.nu[i] = int32(len(st.counts[i]))
-		ps.typed[i] = int32(st.typed[i])
 	}
 	return ps.saturation(o)
 }
@@ -259,7 +249,6 @@ func parityVariants() map[string]Options {
 		"NoEnsureSaturationIncrease": {NoEnsureSaturationIncrease: true},
 		"NoVariableSaturation":       {NoVariableSaturation: true},
 		"NoConfidenceFactor":         {NoConfidenceFactor: true},
-		"SemanticHints":              {SemanticHints: true},
 		"NoEarlyStop+NoDedup":        {NoEarlyStop: true, NoDedup: true},
 	}
 }
@@ -270,7 +259,7 @@ func parityVariants() map[string]Options {
 // parts or in the generator state left behind. sc may carry the buffers
 // of earlier groups, as it does in a tree build.
 func checkClusterParity(members []*dedup.Unique, o *Options, seed int64, sc *scratch) error {
-	parentSat := sc.code(members, o.SemanticHints).saturation(o)
+	parentSat := sc.code(members).saturation(o)
 	gotRng, refRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	got := clusterOnce(members, sc, parentSat, o, gotRng)
 	want := refClusterOnce(members, parentSat, o, refRng)
@@ -295,8 +284,7 @@ func checkClusterParity(members []*dedup.Unique, o *Options, seed int64, sc *scr
 
 // randomGroup builds n members of m tokens over a vocabulary of v words,
 // drawn with the given skew (0 = uniform, larger = more repeats of the
-// first words), with digit-bearing words for the typed-token evidence and
-// random duplicate weights.
+// first words), with digit-bearing words and random duplicate weights.
 func randomGroup(r *rand.Rand, n, m, v int, skew float64, unique bool) []*dedup.Unique {
 	vocab := make([]string, v)
 	for i := range vocab {
@@ -410,7 +398,6 @@ func FuzzClusterParity(f *testing.F) {
 			NoEnsureSaturationIncrease: flags&8 != 0,
 			NoVariableSaturation:       flags&16 != 0,
 			NoConfidenceFactor:         flags&32 != 0,
-			SemanticHints:              flags&64 != 0,
 			NoEarlyStop:                flags&128 != 0,
 			NoDedup:                    flags&256 != 0,
 		}.withDefaults()

@@ -80,14 +80,6 @@ type Options struct {
 	// LinearMatch disables the (length, first-token) match index and
 	// scans templates sequentially, as the pre-optimization matcher did.
 	LinearMatch bool
-
-	// SemanticHints enables the §8 future-work extension: a lightweight
-	// token-type signal (digit-bearing, hex-like, path-like tokens)
-	// lets a position be declared a variable with less statistical
-	// evidence. It trades a little pure-syntax purity for faster
-	// convergence on numeric variables in sparse groups — a first step
-	// toward the hybrid syntax/semantic parser the paper sketches.
-	SemanticHints bool
 }
 
 const (

@@ -17,11 +17,10 @@ func uniq(tokens ...string) *dedup.Unique {
 	}
 }
 
-// coded returns a scratch holding members coded as one node, with the
-// SemanticHints evidence so every Options variant can score them.
+// coded returns a scratch holding members coded as one node.
 func coded(members []*dedup.Unique) *scratch {
 	sc := &scratch{}
-	sc.code(members, true)
+	sc.code(members)
 	return sc
 }
 
@@ -272,12 +271,11 @@ func TestPosStatsAddMatchesBatch(t *testing.T) {
 			continue
 		}
 		for i := 0; i < m; i++ {
-			if inc.nu[i] != rest.nu[i] || inc.typed[i] != rest.typed[i] {
-				t.Fatalf("after removals, position %d: nu %d typed %d, want %d, %d",
-					i, inc.nu[i], inc.typed[i], rest.nu[i], rest.typed[i])
+			if inc.nu[i] != rest.nu[i] {
+				t.Fatalf("after removals, position %d: nu %d, want %d", i, inc.nu[i], rest.nu[i])
 			}
 		}
-		for _, o := range []*Options{{}, {SemanticHints: true}, {NoConfidenceFactor: true}} {
+		for _, o := range []*Options{{}, {NoConfidenceFactor: true}} {
 			if a, b := inc.saturation(o), rest.saturation(o); a != b {
 				t.Fatalf("after removals: saturation %v, want %v (opts %+v)", a, b, o)
 			}
@@ -296,54 +294,8 @@ func assertSameStats(t *testing.T, got, want *posStats) {
 		}
 	}
 	for i := range want.nu {
-		if got.nu[i] != want.nu[i] || got.typed[i] != want.typed[i] {
-			t.Fatalf("position %d: inc nu %d typed %d, batch %d, %d", i, got.nu[i], got.typed[i], want.nu[i], want.typed[i])
+		if got.nu[i] != want.nu[i] {
+			t.Fatalf("position %d: inc nu %d, batch %d", i, got.nu[i], want.nu[i])
 		}
-	}
-}
-
-func TestSemanticHintsDeclareTypedPositions(t *testing.T) {
-	// A sparse group: only 4 distinct numeric values across 4 logs with
-	// duplicates — too little statistical evidence, but the tokens are
-	// all typed (digits). With hints the position resolves; without, it
-	// stays ambiguous.
-	members := []*dedup.Unique{
-		{Tokens: []string{"req", "took", "412ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "412ms"}), Count: 10},
-		{Tokens: []string{"req", "took", "7ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "7ms"}), Count: 10},
-		{Tokens: []string{"req", "took", "93ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "93ms"}), Count: 10},
-		{Tokens: []string{"req", "took", "1ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "1ms"}), Count: 10},
-	}
-	st := statsOf(members)
-	plain := st.saturation(&Options{})
-	hinted := st.saturation(&Options{SemanticHints: true})
-	if hinted != 1.0 {
-		t.Errorf("hinted saturation = %v, want 1.0 (typed position declared)", hinted)
-	}
-	if plain >= hinted {
-		t.Errorf("hints did not help: plain %v, hinted %v", plain, hinted)
-	}
-}
-
-func TestSemanticHintsIgnoreWordPositions(t *testing.T) {
-	// Categorical word positions gain nothing from hints: no digits.
-	members := []*dedup.Unique{
-		uniq("op", "start"), uniq("op", "stop"), uniq("op", "start"),
-	}
-	st := statsOf(members)
-	a := st.saturation(&Options{})
-	b := st.saturation(&Options{SemanticHints: true})
-	if a != b {
-		t.Errorf("hints changed word-position saturation: %v vs %v", a, b)
-	}
-}
-
-func TestFig5UnaffectedBySemanticHints(t *testing.T) {
-	// The Fig. 5 sets contain typed token values; the hinted variant may
-	// legitimately resolve them earlier, but the DEFAULT path must keep
-	// the paper's exact numbers (guarded elsewhere); here we pin that
-	// hints are off by default.
-	st := statsOf(fig5Set2())
-	if got := st.saturation(nil); got >= 0.4 {
-		t.Errorf("default saturation drifted: %v", got)
 	}
 }

@@ -19,9 +19,6 @@ type coding struct {
 	// off[i] is the first count-table slot of position i; off[m] is the
 	// table size (the node's total vocabulary).
 	off []int32
-	// typed[off[i]+id] reports typedToken for that token. It is nil
-	// unless the node was coded for SemanticHints, the only reader.
-	typed []bool
 }
 
 // scratch holds the buffers one tree's clustering reuses from node to
@@ -103,9 +100,8 @@ func (t *codeTable) id(code uint64, next int32) (id int32, fresh bool) {
 
 // code recodes members (all of identical length) into sc.cd and returns
 // the statistics of the whole node, held in sc.st. Both stay valid until
-// the next call. Typed-token evidence is gathered only when semantic is
-// set.
-func (sc *scratch) code(members []*dedup.Unique, semantic bool) *posStats {
+// the next call.
+func (sc *scratch) code(members []*dedup.Unique) *posStats {
 	n, m := len(members), 0
 	if n > 0 {
 		m = len(members[0].Enc)
@@ -116,12 +112,6 @@ func (sc *scratch) code(members []*dedup.Unique, semantic bool) *posStats {
 	cd.off = zeroed(cd.off, m+1)
 	st.cnt = st.cnt[:0]
 	st.nu = zeroed(st.nu, m)
-	if semantic {
-		cd.typed = cd.typed[:0]
-		st.typed = zeroed(st.typed, m)
-	} else {
-		cd.typed, st.typed = nil, nil
-	}
 	st.n, st.weight = n, 0
 	for _, u := range members {
 		st.weight += u.Count
@@ -136,15 +126,9 @@ func (sc *scratch) code(members []*dedup.Unique, semantic bool) *posStats {
 			if fresh {
 				nu++
 				st.cnt = append(st.cnt, 0)
-				if semantic {
-					cd.typed = append(cd.typed, typedToken(u.Tokens[i]))
-				}
 			}
 			ids[j] = id
 			st.cnt[base+int(id)]++
-			if semantic && cd.typed[base+int(id)] {
-				st.typed[i]++
-			}
 		}
 		st.nu[i] = nu
 		cd.off[i+1] = cd.off[i] + nu
@@ -161,11 +145,6 @@ func (sc *scratch) open(c int) *cluster {
 	cd, cl := &sc.cd, sc.clusters[c]
 	cl.cnt = zeroed(cl.cnt, int(cd.off[cd.m]))
 	cl.nu = zeroed(cl.nu, cd.m)
-	if cd.typed != nil {
-		cl.typed = zeroed(cl.typed, cd.m)
-	} else {
-		cl.typed = nil
-	}
 	cl.n, cl.weight = 0, 0
 	cl.w = zeroed(cl.w, cd.m)
 	cl.sim = zeroed(cl.sim, cd.n)
@@ -182,28 +161,10 @@ type posStats struct {
 	cnt []int32
 	// nu[i] is n_u(i), the number of distinct tokens at position i.
 	nu []int32
-	// typed[i] counts members whose token at position i looks like a
-	// typed value (digit-bearing or path-like) — the SemanticHints
-	// evidence. It is nil when the coding carries no typed flags.
-	typed []int32
 	// n is the number of member logs.
 	n int
 	// weight is the duplicate-weighted member count (Σ Count).
 	weight int
-}
-
-// typedToken reports whether a token looks like a typed value rather than
-// a word: it carries a digit, or is an absolute path.
-func typedToken(s string) bool {
-	if len(s) > 0 && s[0] == '/' {
-		return true
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] >= '0' && s[i] <= '9' {
-			return true
-		}
-	}
-	return false
 }
 
 // add incorporates member j of cd, of duplicate weight count.
@@ -214,9 +175,6 @@ func (st *posStats) add(cd *coding, j, count int) {
 			st.nu[i]++
 		}
 		st.cnt[p]++
-		if st.typed != nil && cd.typed[p] {
-			st.typed[i]++
-		}
 	}
 	st.n++
 	st.weight += count
@@ -229,9 +187,6 @@ func (st *posStats) remove(cd *coding, j, count int) {
 		st.cnt[p]--
 		if st.cnt[p] == 0 {
 			st.nu[i]--
-		}
-		if st.typed != nil && cd.typed[p] {
-			st.typed[i]--
 		}
 	}
 	st.n--
@@ -309,17 +264,9 @@ const (
 // a variable: at least declareMinDistinct distinct tokens, and either a
 // large absolute vocabulary (bounded variables like ports and PIDs stay
 // below any fixed fraction of n once n is large) or a high distinct ratio
-// (small nodes where most members disagree at the position). With
-// semantic hints (§8 extension), a position whose tokens are nearly all
-// typed values qualifies with only a quarter of the distinct-count
-// evidence.
-func (st *posStats) declaredVariable(i int, semantic bool) bool {
+// (small nodes where most members disagree at the position).
+func (st *posStats) declaredVariable(i int) bool {
 	nu := int(st.nu[i])
-	if semantic && nu > 1 && st.typed != nil &&
-		float64(st.typed[i]) >= 0.95*float64(st.n) &&
-		nu*4 >= declareMinDistinct {
-		return true
-	}
 	if nu < declareMinDistinct {
 		return false
 	}
@@ -376,7 +323,6 @@ func (st *posStats) saturation(o *Options) float64 {
 		return 1
 	}
 	noVar := o != nil && o.NoVariableSaturation
-	semantic := o != nil && o.SemanticHints
 	constants := 0
 	declared := 0
 	fullyDistinct := 0
@@ -386,7 +332,7 @@ func (st *posStats) saturation(o *Options) float64 {
 		switch {
 		case nu == 1:
 			constants++
-		case st.declaredVariable(i, semantic):
+		case st.declaredVariable(i):
 			declared++
 		case st.fullyDistinctVariable(nu):
 			fullyDistinct++
@@ -414,7 +360,7 @@ func (st *posStats) saturation(o *Options) float64 {
 	logN := math.Log(float64(st.weight))
 	for i := range st.nu {
 		nu := int(st.nu[i])
-		if nu == 1 || st.declaredVariable(i, semantic) {
+		if nu == 1 || st.declaredVariable(i) {
 			continue
 		}
 		if logN > 0 {

@@ -1,14 +1,28 @@
 // Package errflow implements the bbvet error-flow analyzer: on the
 // storage and network write paths (internal/logstore, internal/segment,
-// internal/netingest), an error ASSIGNED from a durability-relevant
-// call — a WAL write, an fsync, a rename/remove, an Ingest commit —
-// must be consumed on EVERY path before it is overwritten or falls out
-// of scope.
+// internal/netingest, internal/fsx), the error from a durability-
+// relevant call — os.Rename/Remove/RemoveAll/Truncate, (*os.File).Sync/
+// Close, the mutating fsx.FS methods and fsx.File Write/Sync/Close (the
+// filesystem seam those paths write through), every error-returning
+// method on the WAL types (walWriter, walSink), an Ingest commit — must
+// be consumed. Losing it is the PR 3 bug class: a quarantine rename that
+// failed silently and reported durable ingest anyway.
 //
-// This is the dataflow upgrade of the durability analyzer: durability
-// catches results that are discarded outright (`f.Sync()`, `_ =
-// f.Sync()`); errflow catches the sneakier shape where the error is
-// bound to a name and then lost on one path —
+// Two shapes lose it. The outright discard: the call used as a
+// statement (`f.Sync()`), its results all assigned to _ (`_ =
+// f.Sync()` — blanking the error is exactly the bug, not an
+// acknowledgement of it), or the call deferred (`defer f.Sync()`).
+// Two idioms are exempt from the discard check:
+//
+//   - defer f.Close() — the read-path convenience close, where the file
+//     was only read and the error carries no durability signal;
+//   - best-effort cleanup inside a branch that ends by returning an
+//     already-raised error (e.g. f.Close(); os.Remove(tmp); return err)
+//     — the operation has failed and is being unwound, so the cleanup
+//     error cannot mask success.
+//
+// And the sneakier shape, where the error is bound to a name and then
+// lost on one path —
 //
 //	err := w.flush()
 //	if fast {
@@ -44,21 +58,22 @@ import (
 // Analyzer is the error-flow analyzer.
 var Analyzer = &lint.Analyzer{
 	Name:     "errflow",
-	Doc:      "a durability-relevant error must be consumed on every path before overwrite or scope exit",
+	Doc:      "a durability-relevant error is never discarded and is consumed on every path before overwrite or scope exit",
 	Packages: []string{"internal/logstore", "internal/segment", "internal/netingest", "internal/fsx"},
 	Run:      run,
 }
 
 func run(pass *lint.Pass) error {
 	for _, file := range pass.Files {
+		cleanup := cleanupRanges(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkBody(pass, fn.Body, fn.Type)
+					checkBody(pass, fn.Body, fn.Type, cleanup)
 				}
 			case *ast.FuncLit:
-				checkBody(pass, fn.Body, fn.Type)
+				checkBody(pass, fn.Body, fn.Type, cleanup)
 			}
 			return true
 		})
@@ -74,8 +89,9 @@ type defFact struct {
 	label string
 }
 
-func checkBody(pass *lint.Pass, body *ast.BlockStmt, ftype *ast.FuncType) {
+func checkBody(pass *lint.Pass, body *ast.BlockStmt, ftype *ast.FuncType, cleanup []posRange) {
 	g := cfg.New(body)
+	checkDiscards(pass, g, cleanup)
 
 	// Variables referenced inside nested closures or address-taken are
 	// exempt: their consumption may happen outside this CFG.
@@ -200,6 +216,111 @@ func checkBody(pass *lint.Pass, body *ast.BlockStmt, ftype *ast.FuncType) {
 	}
 }
 
+// checkDiscards reports durability-relevant calls whose error is
+// discarded outright: a call statement, a call whose results are all
+// assigned to _, or a deferred call other than Close. Every statement is
+// a node of its own in the CFG, so one pass over the nodes sees them all.
+func checkDiscards(pass *lint.Pass, g *cfg.Graph, cleanup []posRange) {
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			switch s := n.(type) {
+			case *ast.DeferStmt:
+				// defer f.Close() is the read-path idiom; deferred
+				// renames/removes/syncs still count as discarded.
+				if label, ok := durabilityCall(pass, s.Call); ok && !isClose(s.Call) {
+					pass.Reportf(s.Call.Pos(), "error from deferred %s is discarded on a durability path", label)
+				}
+			case *ast.ExprStmt:
+				if call, ok := s.X.(*ast.CallExpr); ok && !inRanges(cleanup, call.Pos()) {
+					if label, ok := durabilityCall(pass, call); ok {
+						pass.Reportf(call.Pos(), "error from %s is discarded on a durability path", label)
+					}
+				}
+			case *ast.AssignStmt:
+				if len(s.Rhs) != 1 || !allBlank(s.Lhs) {
+					continue
+				}
+				if call, ok := s.Rhs[0].(*ast.CallExpr); ok && !inRanges(cleanup, call.Pos()) {
+					if label, ok := durabilityCall(pass, call); ok {
+						pass.Reportf(call.Pos(), "error from %s is blanked with _ on a durability path; check or record it", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+func isClose(call *ast.CallExpr) bool {
+	name := call.Fun.(*ast.SelectorExpr).Sel.Name
+	return name == "Close" || name == "close"
+}
+
+func allBlank(lhs []ast.Expr) bool {
+	for _, e := range lhs {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name != "_" {
+			return false
+		}
+	}
+	return true
+}
+
+type posRange struct{ lo, hi token.Pos }
+
+func inRanges(rs []posRange, p token.Pos) bool {
+	for _, r := range rs {
+		if r.lo <= p && p < r.hi {
+			return true
+		}
+	}
+	return false
+}
+
+// cleanupRanges returns the spans of branch bodies (if/else, switch and
+// select cases — never a whole function body) that end with a `return`
+// carrying a non-nil error value: the best-effort-cleanup-while-
+// unwinding exemption.
+func cleanupRanges(pass *lint.Pass, file *ast.File) []posRange {
+	var out []posRange
+	addList := func(list []ast.Stmt) {
+		if len(list) < 2 {
+			return
+		}
+		ret, ok := list[len(list)-1].(*ast.ReturnStmt)
+		if !ok || !returnsNonNilError(pass, ret) {
+			return
+		}
+		out = append(out, posRange{list[0].Pos(), ret.Pos()})
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch b := n.(type) {
+		case *ast.IfStmt:
+			addList(b.Body.List)
+			if blk, ok := b.Else.(*ast.BlockStmt); ok {
+				addList(blk.List)
+			}
+		case *ast.CaseClause:
+			addList(b.Body)
+		case *ast.CommClause:
+			addList(b.Body)
+		}
+		return true
+	})
+	return out
+}
+
+func returnsNonNilError(pass *lint.Pass, ret *ast.ReturnStmt) bool {
+	for _, r := range ret.Results {
+		if id, ok := r.(*ast.Ident); ok && id.Name == "nil" {
+			continue
+		}
+		if isErrorType(typeOf(pass, r)) {
+			return true
+		}
+	}
+	return false
+}
+
 // useIdents kills facts for every tracked identifier read inside e.
 func useIdents(pass *lint.Pass, e ast.Expr, defs []defFact, s *dataflow.BitSet) {
 	cfg.Inspect(e, func(n ast.Node) bool {
@@ -237,22 +358,9 @@ func durabilityDef(pass *lint.Pass, as *ast.AssignStmt) (types.Object, string, b
 	if !ok {
 		return nil, "", false
 	}
-	// Find the error component of the call's type and its LHS ident.
-	tv, ok := pass.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return nil, "", false
-	}
-	errIdx := -1
-	if tup, ok := tv.Type.(*types.Tuple); ok {
-		for i := 0; i < tup.Len(); i++ {
-			if isErrorType(tup.At(i).Type()) {
-				errIdx = i
-			}
-		}
-	} else if isErrorType(tv.Type) {
-		errIdx = 0
-	}
-	if errIdx < 0 || errIdx >= len(as.Lhs) {
+	// The LHS ident that receives the error component.
+	errIdx := errorResult(pass, call)
+	if errIdx >= len(as.Lhs) {
 		return nil, "", false
 	}
 	id, ok := as.Lhs[errIdx].(*ast.Ident)
@@ -271,12 +379,32 @@ func durabilityDef(pass *lint.Pass, as *ast.AssignStmt) (types.Object, string, b
 	return obj, label, true
 }
 
-// durabilityCall reports whether call is durability-relevant: the same
-// target set as the durability analyzer, plus the netingest Ingest
-// commit hook.
+// errorResult returns the index of the (last) error component among
+// call's results, or -1 if the call returns no error.
+func errorResult(pass *lint.Pass, call *ast.CallExpr) int {
+	t := typeOf(pass, call)
+	tup, ok := t.(*types.Tuple)
+	if !ok {
+		if isErrorType(t) {
+			return 0
+		}
+		return -1
+	}
+	idx := -1
+	for i := 0; i < tup.Len(); i++ {
+		if isErrorType(tup.At(i).Type()) {
+			idx = i
+		}
+	}
+	return idx
+}
+
+// durabilityCall reports whether call is a durability-relevant
+// operation that returns an error. The label names the callee in
+// finding messages.
 func durabilityCall(pass *lint.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || errorResult(pass, call) < 0 {
 		return "", false
 	}
 	name := sel.Sel.Name

@@ -1,7 +1,7 @@
 // Stub of the internal/fsx seam for analyzer fixtures: just enough of
-// the FS/File method sets for the durability and errflow analyzers to
-// resolve receiver types. Matching is by package NAME, so this stub
-// exercises the same analyzer paths as the real internal/fsx.
+// the FS/File method sets for the errflow analyzer to resolve receiver
+// types. Matching is by package NAME, so this stub exercises the same
+// analyzer paths as the real internal/fsx.
 package fsx
 
 import "io/fs"

@@ -1,4 +1,4 @@
-// Fixture for the durability-errcheck analyzer. The quarantine
+// Fixture for the error-flow analyzer's discard check. The quarantine
 // function reintroduces the PR 3 bug verbatim in shape: recovery moved
 // a corrupt segment aside with an unchecked os.Rename, so a failed
 // quarantine silently reported success and the bad file shadowed the
@@ -56,6 +56,6 @@ func checked(path string) error {
 }
 
 func suppressed(path string) {
-	//bbvet:ignore durability fixture exercises a counted suppression
+	//bbvet:ignore errflow fixture exercises a counted suppression
 	os.Remove(path)
 }

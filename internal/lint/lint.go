@@ -5,18 +5,12 @@
 // The analyzers encode invariants this codebase has paid for in review,
 // one per historical bug class:
 //
-//	durability      — results of WAL appends, fsyncs, os.Rename/Remove
-//	                  and (*os.File).Sync/Close on write paths must be
-//	                  consumed (the PR 3 unchecked-quarantine class)
 //	snapshot        — an atomic.Pointer is Load()ed at most once per
 //	                  function and the result threaded through (the PR 2
 //	                  double-Load race class)
 //	unsafeescape    — unsafe.String/unsafe.Slice are allowlisted to the
 //	                  audited netingest decode path (the PR 7 escaping-
 //	                  view class)
-//	lockblock       — no channel op, net.Conn I/O or Store.Append* call
-//	                  while a sync.Mutex/RWMutex is held in the service
-//	                  and storage layers
 //	metricshygiene  — obs metric names are bb_-prefixed constants,
 //	                  latency histograms expose seconds, no name is
 //	                  registered twice
@@ -25,11 +19,15 @@
 // built on the internal/lint/cfg + internal/lint/dataflow engine:
 //
 //	lockbalance     — every Lock is released on every exit path, no
-//	                  double-lock or unlock-without-lock
+//	                  double-lock or unlock-without-lock, and no channel
+//	                  op, net.Conn I/O or Store.Append* call while a
+//	                  lock may be held
 //	goroutineleak   — every go statement's unbounded loop observes a
 //	                  termination signal (the PR 7 leaked-listener class)
-//	errflow         — a durability error is consumed on every path
-//	                  before overwrite or scope exit
+//	errflow         — the error of a WAL write, fsync, rename or
+//	                  remove on a write path is never discarded, and is
+//	                  consumed on every path before overwrite or scope
+//	                  exit (the PR 3 unchecked-quarantine class)
 //	ackcommit       — a netingest OK ack is dominated by the store
 //	                  commit it reports
 //

@@ -9,8 +9,12 @@ import (
 )
 
 func TestGoldenFindings(t *testing.T) {
-	res := linttest.Run(t, lockbalance.Analyzer, filepath.Join("testdata", "src", "lockfix"))
-	if got := res.Suppressed["lockbalance"]; got != 1 {
-		t.Errorf("suppressed count = %d, want 1", got)
+	for _, fixture := range []string{"lockfix", "logstore"} {
+		t.Run(fixture, func(t *testing.T) {
+			res := linttest.Run(t, lockbalance.Analyzer, filepath.Join("testdata", "src", fixture))
+			if got := res.Suppressed["lockbalance"]; got != 1 {
+				t.Errorf("suppressed count = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-// Fixture for the lock-across-blocking analyzer: blocking operations
+// Fixture for the lock analyzer's blocking check: blocking operations
 // under a sync.Mutex/RWMutex — channel ops, select without default,
 // net.Conn I/O, and Append* through the storage interfaces.
 package logstore
@@ -97,6 +97,19 @@ func (s *server) unlockEarly(v int) {
 	s.ch <- v
 }
 
+// sendAfterBranchUnlock releases on the fast path only: the send on
+// the other path still runs under s.mu. A source-order walk clears the
+// lock at the first Unlock it meets and misses this send.
+func (s *server) sendAfterBranchUnlock(v int, fast bool) {
+	s.mu.Lock()
+	if fast {
+		s.mu.Unlock()
+		return
+	}
+	s.ch <- v // want "channel send while s.mu is held"
+	s.mu.Unlock()
+}
+
 // goroutineBody is a fresh scope: the literal runs unlocked.
 func (s *server) goroutineBody(v int) {
 	s.mu.Lock()
@@ -109,6 +122,6 @@ func (s *server) goroutineBody(v int) {
 func (s *server) suppressed(v int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//bbvet:ignore lockblock fixture exercises a counted suppression
+	//bbvet:ignore lockbalance fixture exercises a counted suppression
 	s.ch <- v
 }

@@ -7,25 +7,21 @@ package suite
 import (
 	"bytebrain/internal/lint"
 	"bytebrain/internal/lint/ackcommit"
-	"bytebrain/internal/lint/durability"
 	"bytebrain/internal/lint/errflow"
 	"bytebrain/internal/lint/goroutineleak"
 	"bytebrain/internal/lint/lockbalance"
-	"bytebrain/internal/lint/lockblock"
 	"bytebrain/internal/lint/metricshygiene"
 	"bytebrain/internal/lint/snapshot"
 	"bytebrain/internal/lint/unsafeescape"
 )
 
-// Analyzers returns the bbvet suite in reporting order. The first five
-// are the source-order checkers from PR 8; the last four are the
-// CFG/dataflow analyzers built on internal/lint/cfg.
+// Analyzers returns the bbvet suite in reporting order: three
+// source-order checkers, then the four CFG/dataflow analyzers built on
+// internal/lint/cfg.
 func Analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		durability.Analyzer,
 		snapshot.Analyzer,
 		unsafeescape.Analyzer,
-		lockblock.Analyzer,
 		metricshygiene.Analyzer,
 		lockbalance.Analyzer,
 		goroutineleak.Analyzer,

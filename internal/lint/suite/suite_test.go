@@ -10,8 +10,8 @@ import (
 )
 
 func TestSuiteSize(t *testing.T) {
-	if n := len(suite.Analyzers()); n < 9 {
-		t.Fatalf("suite has %d analyzers, the bbvet contract is at least 9", n)
+	if n := len(suite.Analyzers()); n < 7 {
+		t.Fatalf("suite has %d analyzers, the bbvet contract is at least 7", n)
 	}
 }
 

@@ -102,7 +102,6 @@ type CompactingStore struct {
 	flushWG    sync.WaitGroup
 	idleCh     chan struct{} // closed and replaced whenever seal work finishes
 	sealErr    error         // most recent seal/rotation failure; cleared by Seal
-	readErr    error         // most recent sealed-segment read failure on a query path
 
 	degraded    bool  // read-only mode: appends fail fast with ErrDegraded
 	degradedErr error // what drove the store into degraded mode
@@ -494,11 +493,11 @@ func (s *CompactingStore) poisonRotateLocked(b *compactBlock) {
 	// Close/remove failures here cannot lose data (the WAL is already
 	// poisoned and holds no admitted records) and recovery deletes an
 	// empty WAL on the next open, so this teardown is best-effort.
-	//bbvet:ignore durability discarding an empty poisoned WAL; nothing admitted, recovery re-deletes it
+	//bbvet:ignore errflow discarding an empty poisoned WAL; nothing admitted, recovery re-deletes it
 	b.wal.close()
 	b.wal = nil
 	if b.walPath != "" {
-		//bbvet:ignore durability same empty poisoned WAL as above; remove is best-effort
+		//bbvet:ignore errflow same empty poisoned WAL as above; remove is best-effort
 		s.fs.Remove(b.walPath)
 		b.walPath = ""
 	}
@@ -920,24 +919,6 @@ func (s *CompactingStore) SealError() error {
 	return s.sealErr
 }
 
-// ReadError returns the most recent sealed-segment decode failure hit by
-// a query path (those paths cannot return errors through the Store
-// interface; affected blocks are skipped, so results may be partial
-// until the error is investigated).
-func (s *CompactingStore) ReadError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readErr
-}
-
-// noteErr records a query-path read failure observed outside the store
-// lock.
-func (s *CompactingStore) noteErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readErr = err
-}
-
 // blockView is a consistent read-side snapshot of one block. The seg/hot
 // fields of compactBlock are mutated by the sealer under the store lock,
 // so queries must not read them from raw block pointers; a view copied
@@ -1079,7 +1060,7 @@ func (s *CompactingStore) Scan(from, to int64, tr TimeRange, fn func(Record) boo
 				return true
 			})
 			if err != nil {
-				s.noteErr(err)
+				s.m.SegmentReadErrors.Inc()
 			}
 			continue
 		}
@@ -1124,7 +1105,7 @@ func (s *CompactingStore) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
 			}
 			offs, decoded, err := b.seg.ByTemplateRangeInfo(tr.From, tr.To, ids...)
 			if err != nil {
-				s.noteErr(err)
+				s.m.SegmentReadErrors.Inc()
 				continue
 			}
 			if !decoded {
@@ -1175,7 +1156,7 @@ func (s *CompactingStore) GroupedCounts(maxSamples int, tr TimeRange) map[uint64
 				s.m.BlocksPruned.Inc()
 			}
 			if err != nil {
-				s.noteErr(err)
+				s.m.SegmentReadErrors.Inc()
 				continue
 			}
 			for _, tm := range metas {
@@ -1210,7 +1191,7 @@ func (s *CompactingStore) TemplateCounts(tr TimeRange) map[uint64]int {
 				s.m.BlocksPruned.Inc()
 			}
 			if err != nil {
-				s.noteErr(err)
+				s.m.SegmentReadErrors.Inc()
 				continue
 			}
 		} else {
@@ -1235,7 +1216,7 @@ func (s *CompactingStore) SearchRange(token string, tr TimeRange) []int64 {
 		if b.seg != nil {
 			offs, decoded, err := b.seg.SearchRangeInfo(token, tr.From, tr.To)
 			if err != nil {
-				s.noteErr(err)
+				s.m.SegmentReadErrors.Inc()
 				continue
 			}
 			if !decoded {

@@ -1,13 +1,17 @@
 package logstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"bytebrain/internal/obs"
 	"bytebrain/internal/segment"
 )
 
@@ -365,6 +369,82 @@ func TestCompactingBadSegmentFallsBackToWAL(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, sealedPrefix+"000000"+sealedSuffix+".bad")); err != nil {
 		t.Fatalf("corrupt segment not moved aside: %v", err)
+	}
+}
+
+// TestSegmentReadErrorsCounted: a sealed block whose payload fails to
+// decode is skipped by the query paths, each visit is counted in
+// Metrics.SegmentReadErrors, and the other blocks' offsets still come
+// back.
+func TestSegmentReadErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	cfg := CompactConfig{Dir: dir, SegmentBytes: 1 << 30, Codec: segment.CodecFlate}
+	s, err := OpenCompacting("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three sealed blocks of 100 records: one template, one shared token.
+	for off := 0; off < 300; off++ {
+		if _, err := appendOne(s, ts(off), fmt.Sprintf("session %d opened", off), 7); err != nil {
+			t.Fatal(err)
+		}
+		if off%100 == 99 {
+			if err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			s.WaitIdle()
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Overwrite the middle block's payload with 0xFF bytes (a reserved
+	// DEFLATE block type, so inflating fails at once) and recompute the
+	// checksum: Open checks only the CRC and metadata, so the block still
+	// loads and fails only when a query decodes it.
+	path := filepath.Join(dir, sealedPrefix+"000001"+sealedSuffix)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(data) - 4
+	payLen := int(binary.LittleEndian.Uint32(data[60:64]))
+	for i := end - payLen; i < end; i++ {
+		data[i] = 0xFF
+	}
+	binary.LittleEndian.PutUint32(data[end:], crc32.ChecksumIEEE(data[:end]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	readErrs := obs.NewRegistry().Counter("segment_read_errors_total", "t").With()
+	cfg.Opts.Metrics = &Metrics{SegmentReadErrors: readErrs}
+	s2, err := OpenCompacting("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.SegmentStats(); st.Segments != 3 {
+		t.Fatalf("reopened with %d segments, want 3", st.Segments)
+	}
+	var want []int64
+	for off := int64(0); off < 300; off++ {
+		if off < 100 || off >= 200 {
+			want = append(want, off)
+		}
+	}
+	if got := s2.SearchRange("session", TimeRange{}); !slices.Equal(got, want) {
+		t.Fatalf("SearchRange returned %d offsets, want the %d outside the bad block", len(got), len(want))
+	}
+	if n := readErrs.Value(); n != 1 {
+		t.Fatalf("after SearchRange: %d read errors, want 1", n)
+	}
+	if got := s2.ByTemplateRange(TimeRange{}, 7); !slices.Equal(got, want) {
+		t.Fatalf("ByTemplateRange returned %d offsets, want the %d outside the bad block", len(got), len(want))
+	}
+	if n := readErrs.Value(); n != 2 {
+		t.Fatalf("after ByTemplateRange: %d read errors, want 2", n)
 	}
 }
 

@@ -489,7 +489,6 @@ var (
 type Internal struct {
 	mu        sync.RWMutex
 	snapshots [][]byte
-	times     []time.Time
 	idxs      []int // write index of each retained snapshot, ascending
 	next      int   // write index the next snapshot gets
 	retain    Retention
@@ -513,7 +512,6 @@ func (in *Internal) pruneLocked() {
 			continue
 		}
 		in.snapshots[kept] = in.snapshots[i]
-		in.times[kept] = in.times[i]
 		in.idxs[kept] = idx
 		kept++
 	}
@@ -521,18 +519,17 @@ func (in *Internal) pruneLocked() {
 		in.snapshots[i] = nil
 	}
 	in.snapshots = in.snapshots[:kept]
-	in.times = in.times[:kept]
 	in.idxs = in.idxs[:kept]
 }
 
-// AppendSnapshot implements SnapshotStore.
-func (in *Internal) AppendSnapshot(ts time.Time, data []byte) error {
+// AppendSnapshot implements SnapshotStore. The in-memory topic keeps no
+// timestamps.
+func (in *Internal) AppendSnapshot(_ time.Time, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.snapshots = append(in.snapshots, cp)
-	in.times = append(in.times, ts)
 	in.idxs = append(in.idxs, in.next)
 	in.next++
 	in.pruneLocked()
@@ -563,19 +560,8 @@ func (in *Internal) QuarantineLatest() error {
 	last := len(in.snapshots) - 1
 	in.snapshots[last] = nil
 	in.snapshots = in.snapshots[:last]
-	in.times = in.times[:last]
 	in.idxs = in.idxs[:last]
 	return nil
-}
-
-// LatestSnapshotTime returns when the newest snapshot was stored.
-func (in *Internal) LatestSnapshotTime() (time.Time, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if len(in.times) == 0 {
-		return time.Time{}, ErrNoSnapshot
-	}
-	return in.times[len(in.times)-1], nil
 }
 
 // Snapshots implements SnapshotStore.

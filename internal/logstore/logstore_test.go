@@ -209,17 +209,11 @@ func TestInternalSnapshots(t *testing.T) {
 	if _, err := in.LatestSnapshot(); err != ErrNoSnapshot {
 		t.Fatalf("LatestSnapshot on empty = %v", err)
 	}
-	if _, err := in.LatestSnapshotTime(); err != ErrNoSnapshot {
-		t.Fatalf("LatestSnapshotTime on empty = %v", err)
-	}
 	_ = in.AppendSnapshot(ts(1), []byte("v1"))
 	_ = in.AppendSnapshot(ts(2), []byte("v2"))
 	data, err := in.LatestSnapshot()
 	if err != nil || string(data) != "v2" {
 		t.Fatalf("LatestSnapshot = %q %v", data, err)
-	}
-	if at, err := in.LatestSnapshotTime(); err != nil || !at.Equal(ts(2)) {
-		t.Fatalf("LatestSnapshotTime = %v %v", at, err)
 	}
 	if in.Snapshots() != 2 {
 		t.Errorf("Snapshots = %d", in.Snapshots())

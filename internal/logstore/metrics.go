@@ -95,6 +95,10 @@ type Metrics struct {
 	// decodes the payload (the segment's own BlockReads counter) or is
 	// answered from metadata alone — counted here.
 	BlocksPruned *obs.Counter
+	// SegmentReadErrors counts sealed-block visits whose payload failed
+	// to decode. Query paths cannot return errors through the Store
+	// interface: they skip the block, so a result may be partial.
+	SegmentReadErrors *obs.Counter
 
 	// ShardAppends[i] counts records appended to shard i; sized by
 	// OpenSharded's caller. Out-of-range shards record nothing.

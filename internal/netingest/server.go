@@ -169,6 +169,7 @@ func (c *srvConn) ack(seq uint32, status byte) error {
 	var b [AckSize]byte
 	_ = AppendAck(b[:0], seq, status)
 	c.wmu.Lock()
+	//bbvet:ignore lockbalance wmu exists to serialise the acks of one connection; a stalled client blocks only its own acks
 	_, err := c.conn.Write(b[:])
 	c.wmu.Unlock()
 	return err

@@ -68,6 +68,7 @@ type serviceMetrics struct {
 	storeDegraded      *obs.FuncVec
 	shardAppends       *obs.CounterVec
 	blocksPruned       *obs.CounterVec
+	segmentReadErrors  *obs.CounterVec
 	blocksRead         *obs.FuncVec
 
 	// Per-topic state gauges, bound to live accessors at topic create.
@@ -124,6 +125,7 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		storeDegraded:      reg.GaugeFunc("bb_store_degraded", "1 while the topic's store is degraded to read-only (ingest shed, queries served).", "topic"),
 		shardAppends:       reg.Counter("bb_store_shard_appends_total", "Records appended per shard.", "topic", "shard"),
 		blocksPruned:       reg.Counter("bb_segment_blocks_pruned_total", "Sealed-block query visits answered from metadata alone.", "topic"),
+		segmentReadErrors:  reg.Counter("bb_segment_read_errors_total", "Sealed-block query visits skipped because the payload failed to decode.", "topic"),
 		blocksRead:         reg.CounterFunc("bb_segment_blocks_read_total", "Sealed-block payload decompressions paid by queries.", "topic"),
 
 		topicRecords:   reg.GaugeFunc("bb_topic_records", "Stored records.", "topic"),
@@ -210,6 +212,7 @@ func (m *serviceMetrics) topic(name string, shards int) *topicMetrics {
 			SealRetries:        m.storeSealRetries.With(name),
 			DegradedEnters:     m.storeDegradedSum.With(name),
 			BlocksPruned:       m.blocksPruned.With(name),
+			SegmentReadErrors:  m.segmentReadErrors.With(name),
 		},
 	}
 	for _, kind := range queryKinds {

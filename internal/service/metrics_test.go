@@ -117,7 +117,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"bb_wal_append_records_total", "bb_wal_append_bytes_total",
 		"bb_wal_fsyncs_total", "bb_wal_fsync_seconds",
 		"bb_store_batch_records", "bb_store_seals_total",
-		"bb_segment_blocks_read_total", "bb_segment_blocks_pruned_total",
+		"bb_segment_blocks_read_total", "bb_segment_blocks_pruned_total", "bb_segment_read_errors_total",
 		"bb_topic_records", "bb_topic_templates", "bb_topic_segments",
 	} {
 		if !strings.Contains(body, "# TYPE "+fam+" ") {

@@ -716,6 +716,7 @@ type Stats struct {
 	SegmentRatio           float64 `json:",omitempty"`
 	SegmentBlockReads      int64   `json:",omitempty"`
 	SegmentBlocksPruned    int64   `json:",omitempty"`
+	SegmentReadErrors      int64   `json:",omitempty"`
 	SegmentCodec           string  `json:",omitempty"`
 	// Sharded-store breakdown, present when Config.TopicShards > 1: the
 	// shard count and each shard's record/byte/segment counters.
@@ -761,6 +762,7 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 		stats.WALFsyncs = met.store.WALFsyncs.Value()
 		stats.WALPoisonRotations = met.store.WALPoisonRotations.Value()
 		stats.SegmentBlocksPruned = met.store.BlocksPruned.Value()
+		stats.SegmentReadErrors = met.store.SegmentReadErrors.Value()
 		stats.SealRetries = met.store.SealRetries.Value()
 	}
 	if deg, cause := st.store.Degraded(); deg {
