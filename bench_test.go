@@ -10,7 +10,6 @@ package bytebrain_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -308,63 +307,6 @@ func benchBatches(recs []segment.Record, size int) [][]logstore.BatchRecord {
 		batches = append(batches, batch)
 	}
 	return batches
-}
-
-// BenchmarkShardedIngestBatch measures raw append throughput into a
-// sharded topic store along the route production ingest takes — the
-// write-side counterpart of BenchmarkConcurrentIngest, which plateaus on
-// the single store mutex. A fixed worker pool calls store.AppendBatch
-// concurrently with 256-record batches; the store splits each batch
-// round-robin into one sub-batch per shard, so with shards=1 every worker
-// contends on one mutex and with more shards the workers spread over
-// that many mutexes, at the cost of one group commit per shard per
-// batch. One benchmark op is one RECORD (a batch lands every 256
-// iterations), so exactly b.N records are stored.
-func BenchmarkShardedIngestBatch(b *testing.B) {
-	batches := benchBatches(segmentBenchRecords(b, "Zookeeper"), 256)
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	if workers > 8 {
-		workers = 8
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			store, err := logstore.OpenSharded("bench", logstore.ShardConfig{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			base := time.Unix(1700000000, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				iters := b.N / workers
-				if w < b.N%workers {
-					iters++
-				}
-				wg.Add(1)
-				go func(iters int) {
-					defer wg.Done()
-					for done, bi := 0, 0; done < iters; bi++ {
-						batch := batches[bi%len(batches)]
-						if n := iters - done; len(batch) > n {
-							batch = batch[:n]
-						}
-						if _, err := store.AppendBatch(base, batch); err != nil {
-							b.Error(err)
-							return
-						}
-						done += len(batch)
-					}
-				}(iters)
-			}
-			wg.Wait()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "logs/s")
-		})
-	}
 }
 
 // BenchmarkQueryPushdown compares grouped queries over sealed segments:

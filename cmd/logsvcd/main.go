@@ -44,7 +44,6 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "persist topics (write-ahead log, sealed segments, model snapshots) under this directory; empty = sealed segments kept in memory")
 		segmentBytes = flag.Int64("segment-bytes", 0, "seal hot blocks of this raw size into compressed columnar segments (0 = default 4 MiB)")
 		segmentCodec = flag.String("segment-codec", "flate", "sealed-segment payload codec: flate or none")
-		topicShards  = flag.Int("topic-shards", 1, "fan each topic's store out over this many shards, each batch split round-robin across them, so concurrent appends spread over several store mutexes (1 = single store; a persisted topic's shard count must not shrink)")
 		snapRetain   = flag.Int("snapshot-retain", 0, "keep only this many newest model snapshots per topic (0 = keep all)")
 		snapCkpt     = flag.Int("snapshot-checkpoint-every", 0, "with -snapshot-retain, additionally keep every Nth snapshot as a checkpoint (0 = none)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof profiles on this separate address (empty = disabled); keep it off the public listener")
@@ -70,7 +69,6 @@ func main() {
 		DataDir:                 *dataDir,
 		SegmentBytes:            *segmentBytes,
 		SegmentCodec:            *segmentCodec,
-		TopicShards:             *topicShards,
 		SnapshotRetain:          *snapRetain,
 		SnapshotCheckpointEvery: *snapCkpt,
 		LineCacheCap:            *lineCacheCap,
@@ -125,7 +123,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("logsvcd listening on %s (data-dir=%q segment-bytes=%d topic-shards=%d)", *addr, *dataDir, *segmentBytes, *topicShards)
+	log.Printf("logsvcd listening on %s (data-dir=%q segment-bytes=%d segment-codec=%s)", *addr, *dataDir, *segmentBytes, *segmentCodec)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

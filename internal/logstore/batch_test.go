@@ -54,34 +54,6 @@ func batchCases() []batchCase {
 			}
 			return s
 		}, false},
-		{"sharded-mem-sealed", func(t *testing.T, dir string) Store {
-			s, err := OpenSharded("t", ShardConfig{Shards: 2, SegmentBytes: 256, Codec: segment.CodecFlate})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}, false},
-		{"sharded-mem", func(t *testing.T, dir string) Store {
-			s, err := OpenSharded("t", ShardConfig{Shards: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}, false},
-		{"sharded-default", func(t *testing.T, dir string) Store {
-			s, err := OpenSharded("t", ShardConfig{Shards: 3, Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}, true},
-		{"sharded-compacting", func(t *testing.T, dir string) Store {
-			s, err := OpenSharded("t", ShardConfig{Shards: 2, Dir: dir, SegmentBytes: 256, Codec: segment.CodecFlate})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}, true},
 	}
 }
 
@@ -239,42 +211,5 @@ func TestAppendBatchEmptyAndNil(t *testing.T) {
 				t.Fatalf("Len = %d, want 1", s.Len())
 			}
 		})
-	}
-}
-
-// TestShardedAppendShardBatch pins a batch to one shard via appendShard
-// and checks the namespaced offsets and shard routing.
-func TestShardedAppendShardBatch(t *testing.T) {
-	s, err := OpenSharded("t", ShardConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	recs := []BatchRecord{
-		{Raw: "a 1", TemplateID: 1},
-		{Raw: "b 2", TemplateID: 2},
-		{Raw: "c 3", TemplateID: 3},
-	}
-	first, err := s.appendShard(2, ts(0), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(2) << shardShift; first != want {
-		t.Fatalf("first offset %d, want %d", first, want)
-	}
-	for i := range recs {
-		r, err := getOne(s, first+int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Raw != recs[i].Raw || r.TemplateID != recs[i].TemplateID {
-			t.Fatalf("record %d = %+v, want %+v", i, r, recs[i])
-		}
-	}
-	if _, err := s.appendShard(4, ts(0), recs); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-	if _, err := s.appendShard(-1, ts(0), recs); err == nil {
-		t.Fatal("negative shard accepted")
 	}
 }

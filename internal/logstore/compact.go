@@ -67,6 +67,10 @@ const (
 	// instead of hiding its records behind fresh offsets.
 	legacyPrefix = "segment-"
 	legacySuffix = ".log"
+	// shardDirPrefix names the per-shard subdirectories (shard-NNN) of
+	// the retired sharded topic layout; like the legacy record files,
+	// they are recognised only to refuse the directory.
+	shardDirPrefix = "shard-"
 	// maxQueuedSeals full blocks may wait for the sealer before
 	// AppendBatch waits too; the writer is faster than one sealer.
 	maxQueuedSeals = 2
@@ -243,10 +247,10 @@ func (s *CompactingStore) recover() error {
 		n := e.Name()
 		if e.IsDir() {
 			if strings.HasPrefix(n, shardDirPrefix) {
-				// Shard subdirectories: this topic was persisted sharded
-				// (TopicShards > 1). Opening it unsharded would hide every
-				// sharded record — refuse instead of losing data.
-				return fmt.Errorf("logstore: compacting open %s: found shard directory %s; this topic was persisted sharded (restore the shard count, or use a fresh data dir)", s.cfg.Dir, n)
+				// A shard subdirectory of the retired sharded layout.
+				// Ignoring it would hide every record inside — refuse
+				// instead of losing data.
+				return fmt.Errorf("logstore: compacting open %s: found shard directory %s; this build no longer reads sharded topic layouts (re-ingest the topic into a fresh data dir, or open it with a release that still has the sharded store)", s.cfg.Dir, n)
 			}
 			continue
 		}

@@ -464,44 +464,49 @@ func writeLegacyRecordFile(t *testing.T, dir string) {
 	}
 }
 
-// TestLegacyDiskTopicDirRefused: a directory persisted by the retired
-// plain disk store must be refused by every way of opening it — never
-// silently opened empty, hiding its records behind fresh offsets — and
-// the message must not advise a configuration that no longer exists.
+// TestLegacyDiskTopicDirRefused: a directory persisted by a retired
+// layout — the plain disk store's record files, or the sharded store's
+// shard-NNN subdirectories — must be refused by every way of opening it,
+// never silently opened empty, hiding its records behind fresh offsets.
+// The message names what it found, points at a fresh data dir, and must
+// not advise a configuration that no longer exists.
 func TestLegacyDiskTopicDirRefused(t *testing.T) {
-	cases := map[string]func(dir string) (Store, error){
-		"OpenCompacting": func(dir string) (Store, error) {
+	cases := map[string]struct {
+		open func(dir string) (Store, error)
+		want string // the entry the refusal must name
+	}{
+		"OpenCompacting": {func(dir string) (Store, error) {
 			writeLegacyRecordFile(t, dir)
 			return OpenCompacting("t", CompactConfig{Dir: dir})
-		},
-		"OpenCompacting/segment-bytes": func(dir string) (Store, error) {
+		}, "segment-000000.log"},
+		"OpenCompacting/segment-bytes": {func(dir string) (Store, error) {
 			writeLegacyRecordFile(t, dir)
 			return OpenCompacting("t", CompactConfig{Dir: dir, SegmentBytes: 1 << 20, Codec: segment.CodecFlate})
-		},
-		// A sharded disk-topic layout kept its record files inside the
-		// shard directories.
-		"OpenSharded/inside-shard-dir": func(dir string) (Store, error) {
-			writeLegacyRecordFile(t, shardDir(dir, 1))
-			return OpenSharded("t", ShardConfig{Shards: 2, Dir: dir})
-		},
-		// An unsharded disk-topic dir opened sharded trips the layout guard.
-		"OpenSharded/top-level": func(dir string) (Store, error) {
-			writeLegacyRecordFile(t, dir)
-			return OpenSharded("t", ShardConfig{Shards: 2, Dir: dir})
-		},
+		}, "segment-000000.log"},
+		// A sharded topic kept its records in shard-NNN subdirectories.
+		"OpenCompacting/shard-dir": {func(dir string) (Store, error) {
+			writeLegacyRecordFile(t, filepath.Join(dir, "shard-001"))
+			return OpenCompacting("t", CompactConfig{Dir: dir})
+		}, "shard-001"},
 	}
-	for name, open := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			s, err := open(t.TempDir())
+			s, err := tc.open(t.TempDir())
 			if err == nil {
 				s.Close()
-				t.Fatal("a legacy disk-topic directory was opened instead of refused")
+				t.Fatal("a directory of a retired layout was opened instead of refused")
 			}
-			if !strings.Contains(err.Error(), "segment-000000.log") {
-				t.Errorf("refusal does not name the offending file: %v", err)
+			msg := err.Error()
+			if !strings.Contains(msg, tc.want) {
+				t.Errorf("refusal does not name the offending entry %s: %v", tc.want, err)
 			}
-			if strings.Contains(err.Error(), "unset SegmentBytes") {
-				t.Errorf("refusal advises a configuration that no longer exists: %v", err)
+			if !strings.Contains(msg, "fresh data dir") {
+				t.Errorf("refusal does not point at a fresh data dir: %v", err)
+			}
+			for _, stale := range []string{"unset SegmentBytes", "shard count"} {
+				if strings.Contains(msg, stale) {
+					t.Errorf("refusal advises a configuration that no longer exists (%s): %v", stale, err)
+				}
 			}
 		})
 	}

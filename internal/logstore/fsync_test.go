@@ -9,9 +9,9 @@ import (
 
 // testMetrics builds a fully-populated Metrics bundle against a private
 // registry so assertions can read exact counter values.
-func testMetrics(shards int) *Metrics {
+func testMetrics() *Metrics {
 	r := obs.NewRegistry()
-	m := &Metrics{
+	return &Metrics{
 		WALAppendRecords:   r.Counter("wal_append_records_total", "t").With(),
 		WALAppendBytes:     r.Counter("wal_append_bytes_total", "t").With(),
 		WALFsyncs:          r.Counter("wal_fsyncs_total", "t").With(),
@@ -26,11 +26,6 @@ func testMetrics(shards int) *Metrics {
 		SealSeconds:        r.Histogram("seal_seconds", "t", obs.LatencyBuckets).With(),
 		BlocksPruned:       r.Counter("blocks_pruned_total", "t").With(),
 	}
-	sv := r.Counter("shard_appends_total", "t", "shard")
-	for i := 0; i < shards; i++ {
-		m.ShardAppends = append(m.ShardAppends, sv.With(string(rune('0'+i))))
-	}
-	return m
 }
 
 func batchOf(n int, tmpl uint64) []BatchRecord {
@@ -44,7 +39,7 @@ func batchOf(n int, tmpl uint64) []BatchRecord {
 // TestWALFsyncEveryN verifies the count half of the fsync policy: one
 // fsync per N WAL commits, no more.
 func TestWALFsyncEveryN(t *testing.T) {
-	m := testMetrics(0)
+	m := testMetrics()
 	s, err := OpenCompacting("t", CompactConfig{
 		Dir:          t.TempDir(),
 		SegmentBytes: 1 << 20,
@@ -91,7 +86,7 @@ func TestWALFsyncEveryN(t *testing.T) {
 // TestWALFsyncInterval verifies the time half of the policy: a dirty WAL
 // is synced within the interval, and an idle store stops syncing.
 func TestWALFsyncInterval(t *testing.T) {
-	m := testMetrics(0)
+	m := testMetrics()
 	s, err := OpenCompacting("t", CompactConfig{
 		Dir:          t.TempDir(),
 		SegmentBytes: 1 << 20,
@@ -139,7 +134,7 @@ func TestRecoveryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := testMetrics(0)
+	m := testMetrics()
 	re, err := OpenCompacting("t", CompactConfig{Dir: dir, SegmentBytes: 256, Opts: StoreOptions{Metrics: m}})
 	if err != nil {
 		t.Fatal(err)
@@ -153,29 +148,5 @@ func TestRecoveryMetrics(t *testing.T) {
 	}
 	if re.Len() != 41 {
 		t.Fatalf("recovered %d records, want 41", re.Len())
-	}
-}
-
-// TestShardAppendMetrics verifies per-shard append counters through the
-// pinned batch path.
-func TestShardAppendMetrics(t *testing.T) {
-	m := testMetrics(2)
-	s, err := OpenSharded("t", ShardConfig{Shards: 2, Opts: StoreOptions{Metrics: m}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := time.Now()
-	if _, err := s.appendShard(0, ts, batchOf(3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.appendShard(1, ts, batchOf(5, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ShardAppends[0].Value(); got != 3 {
-		t.Fatalf("shard 0 appends = %d, want 3", got)
-	}
-	if got := m.ShardAppends[1].Value(); got != 5 {
-		t.Fatalf("shard 1 appends = %d, want 5", got)
 	}
 }

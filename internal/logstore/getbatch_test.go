@@ -109,41 +109,3 @@ func TestCompactingGetBatch(t *testing.T) {
 		t.Fatal("out-of-range offset accepted")
 	}
 }
-
-func TestShardedGetBatch(t *testing.T) {
-	s, err := OpenSharded("t", ShardConfig{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var offs []int64
-	for i := 0; i < 60; i++ {
-		off, err := appendOne(s, ts(i), fmt.Sprintf("sharded line %d", i), uint64(i%4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		offs = append(offs, off)
-	}
-	// Interleave shards in the request and reverse the order: the
-	// result must still line up element-for-element with the input.
-	req := []int64{offs[59], offs[0], offs[31], offs[10], offs[31]}
-	recs, err := s.GetBatch(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(req) {
-		t.Fatalf("got %d records, want %d", len(recs), len(req))
-	}
-	for i, off := range req {
-		single, err := getOne(s, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recs[i] != single {
-			t.Fatalf("recs[%d] = %+v, Get(%d) = %+v", i, recs[i], off, single)
-		}
-	}
-	if _, err := s.GetBatch([]int64{int64(99) << 48}); err == nil {
-		t.Fatal("offset outside the shard namespace accepted")
-	}
-}

@@ -92,11 +92,11 @@ func (tr TimeRange) Overlaps(min, max time.Time) bool {
 	return true
 }
 
-// Store is the record-storage interface the service writes through:
-// CompactingStore (in memory, or persistent under a directory), and
-// ShardedStore fanning out over several of them. Every store seals its
-// hot blocks, so the seal-control surface (Compactor) and the degraded
-// read-only state are part of the interface.
+// Store is the record-storage interface the service writes through; its
+// one implementation is CompactingStore (in memory, or persistent under a
+// directory), one per topic. Every store seals its hot blocks, so the
+// seal-control surface (Compactor) and the degraded read-only state are
+// part of the interface.
 type Store interface {
 	Compactor
 	// AppendBatch group-commits a batch of records, all stamped with the
@@ -106,11 +106,8 @@ type Store interface {
 	// rotation handled mid-batch. It may first wait for the sealer: at
 	// most two full blocks queue for sealing before appends wait. The
 	// store does not retain recs after the call. On error a prefix of the
-	// batch may have been admitted and the remainder was not — except on
-	// a sharded store routing across shards, where each shard admits a
-	// prefix of ITS sub-batch, so the surviving records may interleave
-	// with lost ones (see ShardedStore.AppendBatch). An empty batch is a
-	// no-op returning (0, nil).
+	// batch may have been admitted and the remainder was not. An empty
+	// batch is a no-op returning (0, nil).
 	AppendBatch(ts time.Time, recs []BatchRecord) (int64, error)
 	// Len returns the record count.
 	Len() int
@@ -146,8 +143,7 @@ type Store interface {
 	GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup
 	// Degraded reports whether the store currently rejects appends
 	// (disk full or persistent seal failure) and, if so, the failure
-	// that drove it there. For a sharded store the bool is "fully
-	// degraded" (every shard); ShardStats has per-shard state.
+	// that drove it there.
 	Degraded() (bool, error)
 	// Close releases resources; further appends fail.
 	Close() error

@@ -67,9 +67,7 @@ func (o StoreOptions) withMetrics() StoreOptions {
 // Metrics is the instrument bundle the logstore layer observes into. The
 // service layer (or any embedder) resolves the instruments against its
 // registry and hands the bundle in via StoreOptions; any nil field simply
-// records nothing. One bundle instruments one topic's store tree — the
-// sharded fan-out shares its parent's bundle, with per-shard resolution
-// only for ShardAppends.
+// records nothing. One bundle instruments one topic's store.
 type Metrics struct {
 	// WAL write path.
 	WALAppendRecords   *obs.Counter   // records fully written to a WAL
@@ -99,16 +97,4 @@ type Metrics struct {
 	// to decode. Query paths cannot return errors through the Store
 	// interface: they skip the block, so a result may be partial.
 	SegmentReadErrors *obs.Counter
-
-	// ShardAppends[i] counts records appended to shard i; sized by
-	// OpenSharded's caller. Out-of-range shards record nothing.
-	ShardAppends []*obs.Counter
-}
-
-// shardAppend records n records landing on one shard.
-func (m *Metrics) shardAppend(shard int, n int64) {
-	if m == nil || shard < 0 || shard >= len(m.ShardAppends) {
-		return
-	}
-	m.ShardAppends[shard].Add(n)
 }

@@ -217,28 +217,23 @@ func TestCompactingTimeRangePushdown(t *testing.T) {
 // TemplateCounts over the open-ended range starting at cut, with its
 // sealed all-in/all-out metadata fast paths — to the linear-scan truth
 // at exact boundary timestamps (the cut is inclusive), across the hot
-// topic, sealed segments, and the sharded merge.
+// topic and sealed segments.
 func TestCountSinceBoundaries(t *testing.T) {
-	build := func(t *testing.T) (Store, func()) {
+	t.Run("compacting", func(t *testing.T) {
 		s, err := OpenCompacting("t", CompactConfig{SegmentBytes: 1 << 62, Codec: segment.CodecFlate})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, func() { s.Close() }
-	}
-	t.Run("compacting", func(t *testing.T) {
-		s, done := build(t)
-		defer done()
+		defer s.Close()
 		for i := 0; i < 100; i++ {
 			if _, err := appendOne(s, ts(10+i), "x", 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		cs := s.(*CompactingStore)
-		if err := cs.Seal(); err != nil {
+		if err := s.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		cs.WaitIdle()
+		s.WaitIdle()
 		for i := 0; i < 40; i++ { // hot tail continues the clock
 			if _, err := appendOne(s, ts(110+i), "x", 1); err != nil {
 				t.Fatal(err)
@@ -259,47 +254,18 @@ func TestCountSinceBoundaries(t *testing.T) {
 			}
 		}
 	})
-	t.Run("sharded", func(t *testing.T) {
-		s, err := OpenSharded("t", ShardConfig{Shards: 3, SegmentBytes: 1 << 62, Codec: segment.CodecFlate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		for i := 0; i < 90; i++ {
-			if _, err := s.appendShard(i%3, ts(10+i), []BatchRecord{{Raw: "x", TemplateID: 1}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		s.WaitIdle()
-		for _, cut := range []int{9, 10, 11, 50, 98, 99, 100} {
-			want := 0
-			s.Scan(0, -1, TimeRange{}, func(r Record) bool {
-				if !r.Time.Before(ts(cut)) {
-					want++
-				}
-				return true
-			})
-			if got := countSince(s, ts(cut)); got != want {
-				t.Errorf("sharded CountSince(ts(%d)) = %d, want %d", cut, got, want)
-			}
-		}
-	})
 }
 
-// TestShardedTimeRangeQueries covers the satellite matrix: ranges whose
-// records span shard boundaries, empty and inverted ranges, and ranges
-// served entirely by hot blocks.
-func TestShardedTimeRangeQueries(t *testing.T) {
-	s, err := OpenSharded("t", ShardConfig{Shards: 4, SegmentBytes: 1 << 62, Codec: segment.CodecFlate})
+// TestCompactingTimeRangeQueries checks grouped counts, their samples,
+// template counts and scans over ranges that span the sealed/hot
+// boundary, lie inside the hot block, or are empty and inverted.
+func TestCompactingTimeRangeQueries(t *testing.T) {
+	s, err := OpenCompacting("t", CompactConfig{SegmentBytes: 1 << 62, Codec: segment.CodecFlate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Round-robin by time so every range spans all four shards; seal the
-	// first 400 records, keep the last 100 hot.
+	// Seal the first 400 records, keep the last 100 hot.
 	type rec struct {
 		sec  int
 		tmpl uint64
@@ -308,7 +274,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.appendShard(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
+		if _, err := appendOne(s, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +285,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 400; i < 500; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.appendShard(i%4, ts(r.sec), []BatchRecord{{Raw: fmt.Sprintf("evt %d", i), TemplateID: r.tmpl}}); err != nil {
+		if _, err := appendOne(s, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,25 +338,16 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 		}
 	}
 
-	// Hot-only range over a sealed+hot store must not touch sealed blocks.
-	before := s.SegmentStats().BlockReads
-	if groups := s.GroupedCounts(5, tr(450, 460)); len(groups) == 0 {
-		t.Fatal("hot-only range returned nothing")
-	}
-	if reads := s.SegmentStats().BlockReads - before; reads != 0 {
-		t.Fatalf("hot-only range paid %d sealed block reads", reads)
-	}
 }
 
-// TestShardedTimeRangeStress races Ingest ∥ time-range Query ∥ Seal on a
-// sharded segment store; run with -race it guards the new range paths'
-// locking.
-func TestShardedTimeRangeStress(t *testing.T) {
-	s, err := OpenSharded("t", ShardConfig{Shards: 2, SegmentBytes: 4 << 10, Codec: segment.CodecFlate})
+// TestCompactingTimeRangeStress races two writers ∥ time-range Query ∥
+// Seal on one segment store, then closes it; run with -race it guards
+// the range paths' locking and the seal/close handoff.
+func TestCompactingTimeRangeStress(t *testing.T) {
+	s, err := OpenCompacting("t", CompactConfig{SegmentBytes: 4 << 10, Codec: segment.CodecFlate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 2; w++ {
@@ -398,7 +355,7 @@ func TestShardedTimeRangeStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if _, err := s.appendShard(w, ts(i), []BatchRecord{{Raw: fmt.Sprintf("w%d line %d token-%d", w, i, i%17), TemplateID: uint64(1 + i%7)}}); err != nil {
+				if _, err := appendOne(s, ts(i), fmt.Sprintf("w%d line %d token-%d", w, i, i%17), uint64(1+i%7)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -458,6 +415,16 @@ func TestShardedTimeRangeStress(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("post-stress range count %d, want %d", got, want)
+	}
+	s.WaitIdle()
+	if err := s.SealError(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendOne(s, ts(0), "late", 1); err == nil {
+		t.Fatal("append after Close must fail")
 	}
 }
 

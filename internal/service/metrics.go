@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strconv"
 	"time"
 
 	"bytebrain/internal/logstore"
@@ -66,7 +65,6 @@ type serviceMetrics struct {
 	storeSealRetries   *obs.CounterVec
 	storeDegradedSum   *obs.CounterVec
 	storeDegraded      *obs.FuncVec
-	shardAppends       *obs.CounterVec
 	blocksPruned       *obs.CounterVec
 	segmentReadErrors  *obs.CounterVec
 	blocksRead         *obs.FuncVec
@@ -123,7 +121,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		storeSealRetries:   reg.Counter("bb_seal_retries_total", "Failed seal attempts retried with backoff.", "topic"),
 		storeDegradedSum:   reg.Counter("bb_store_degraded_enters_total", "Transitions into degraded read-only mode.", "topic"),
 		storeDegraded:      reg.GaugeFunc("bb_store_degraded", "1 while the topic's store is degraded to read-only (ingest shed, queries served).", "topic"),
-		shardAppends:       reg.Counter("bb_store_shard_appends_total", "Records appended per shard.", "topic", "shard"),
 		blocksPruned:       reg.Counter("bb_segment_blocks_pruned_total", "Sealed-block query visits answered from metadata alone.", "topic"),
 		segmentReadErrors:  reg.Counter("bb_segment_read_errors_total", "Sealed-block query visits skipped because the payload failed to decode.", "topic"),
 		blocksRead:         reg.CounterFunc("bb_segment_blocks_read_total", "Sealed-block payload decompressions paid by queries.", "topic"),
@@ -176,7 +173,7 @@ type topicMetrics struct {
 }
 
 // topic resolves every per-topic instrument once.
-func (m *serviceMetrics) topic(name string, shards int) *topicMetrics {
+func (m *serviceMetrics) topic(name string) *topicMetrics {
 	t := &topicMetrics{
 		ingestLines:   m.ingestLines.With(name),
 		ingestBatches: m.ingestBatches.With(name),
@@ -218,9 +215,6 @@ func (m *serviceMetrics) topic(name string, shards int) *topicMetrics {
 	for _, kind := range queryKinds {
 		t.querySeconds[kind] = m.querySeconds.With(name, kind)
 		t.queries[kind] = m.queries.With(name, kind)
-	}
-	for i := 0; i < shards; i++ {
-		t.store.ShardAppends = append(t.store.ShardAppends, m.shardAppends.With(name, strconv.Itoa(i)))
 	}
 	return t
 }

@@ -193,26 +193,27 @@ func TestInMemoryDefaultIsCompacting(t *testing.T) {
 	}
 }
 
-// TestLegacyDiskTopicDirRefused: a topic directory written by the retired
-// plain disk store (segment-NNNNNN.log record files) must fail CreateTopic
-// loudly, unsharded and sharded, instead of opening empty over it.
+// TestLegacyDiskTopicDirRefused: a topic directory written by a retired
+// layout — the plain disk store's segment-NNNNNN.log record files, or the
+// sharded store's shard-NNN subdirectories — must fail CreateTopic loudly,
+// naming what it found, instead of opening empty over it.
 func TestLegacyDiskTopicDirRefused(t *testing.T) {
 	for name, tc := range map[string]struct {
-		shards int
-		file   string
+		file string
+		want string
 	}{
-		"unsharded": {1, filepath.Join("app", "records", "segment-000000.log")},
-		"sharded":   {2, filepath.Join("app", "records", "shard-001", "segment-000000.log")},
+		"unsharded": {filepath.Join("app", "records", "segment-000000.log"), "found legacy disk-topic file segment-000000.log"},
+		"sharded":   {filepath.Join("app", "records", "shard-000", "wal-000000.log"), "found shard directory shard-000; this build no longer reads sharded topic layouts"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.DataDir = t.TempDir()
-			cfg.TopicShards = tc.shards
 			path := filepath.Join(cfg.DataDir, tc.file)
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			// One record in the legacy format: time, template ID, raw length, raw.
+			// One record in the legacy disk-store format: time, template ID,
+			// raw length, raw. The shard-directory guard refuses before reading.
 			rec := append(make([]byte, 16), 3, 0, 0, 0, 'o', 'l', 'd')
 			if err := os.WriteFile(path, rec, 0o644); err != nil {
 				t.Fatal(err)
@@ -220,8 +221,8 @@ func TestLegacyDiskTopicDirRefused(t *testing.T) {
 			s := New(cfg)
 			defer s.Close()
 			err := s.CreateTopic("app")
-			if err == nil || !strings.Contains(err.Error(), "segment-000000.log") {
-				t.Fatalf("CreateTopic over a legacy disk-topic dir = %v, want a refusal naming the file", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CreateTopic over a retired layout = %v, want a refusal containing %q", err, tc.want)
 			}
 		})
 	}

@@ -76,16 +76,6 @@ type Config struct {
 	// snapshot as a checkpoint when SnapshotRetain prunes, preserving a
 	// sparse training history. 0 keeps nothing beyond the latest K.
 	SnapshotCheckpointEvery int
-	// TopicShards > 1 fans every topic's store out over this many
-	// compacting sub-stores (persisted, with DataDir, under
-	// DataDir/<topic>/records/shard-<i>). Every batch is partitioned
-	// round-robin across the shards and each shard takes its sub-batch
-	// under its own mutex, so concurrent ingest calls spread over N store
-	// mutexes instead of serializing on one. Offsets are namespaced
-	// shard<<48|local. Default 1 keeps the single-store layout and
-	// on-disk compatibility; the shard count of a persisted topic must
-	// not shrink between runs.
-	TopicShards int
 	// LineCacheCap bounds how many distinct raw lines one model
 	// snapshot's line cache memoizes (default 65536). At the cap the
 	// cache evicts wholesale — a fresh generation replaces the full map,
@@ -131,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultThreshold <= 0 {
 		c.DefaultThreshold = 0.7
-	}
-	if c.TopicShards <= 0 {
-		c.TopicShards = 1
 	}
 	if c.LineCacheCap <= 0 {
 		c.LineCacheCap = lineCacheCap
@@ -358,7 +345,7 @@ func (s *Service) CreateTopic(name string) error {
 	st := &topicState{
 		name:      name,
 		parser:    core.New(s.cfg.Parser),
-		met:       s.met.topic(name, s.cfg.TopicShards),
+		met:       s.met.topic(name),
 		cacheCap:  int64(s.cfg.LineCacheCap),
 		rng:       rand.New(rand.NewSource(topicSeed(name))),
 		trainCh:   make(chan struct{}, 1),
@@ -401,8 +388,7 @@ func (s *Service) CreateTopic(name string) error {
 }
 
 // openTopicStore builds one topic's compacting record store from the
-// config knobs, sharded when TopicShards > 1. With DataDir set it
-// recovers existing on-disk state.
+// config knobs. With DataDir set it recovers existing on-disk state.
 func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.Store, error) {
 	dir := ""
 	if s.cfg.DataDir != "" {
@@ -421,15 +407,6 @@ func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.St
 		SealRetryMax:      s.cfg.SealRetryMax,
 		SealMaxRetries:    s.cfg.SealMaxRetries,
 		ProbeInterval:     s.cfg.ProbeInterval,
-	}
-	if s.cfg.TopicShards > 1 {
-		return logstore.OpenSharded(name, logstore.ShardConfig{
-			Shards:       s.cfg.TopicShards,
-			Dir:          dir,
-			SegmentBytes: s.cfg.SegmentBytes,
-			Codec:        codec,
-			Opts:         opts,
-		})
 	}
 	return logstore.OpenCompacting(name, logstore.CompactConfig{
 		Dir:          dir,
@@ -570,12 +547,10 @@ const maxPooledBatch = 1 << 14
 // resolved first — from the snapshot's line cache for repeats, through
 // the matcher's deduplicated MatchBatch for the rest — and then a single
 // AppendBatch hands the batch to the store, which takes one lock and
-// writes one WAL run instead of one per record (a sharded store
-// partitions it round-robin, one sub-batch per shard, and routes around
-// degraded shards). The batch is therefore also the durability and
-// poison boundary: a WAL failure fails the batch from the torn record
-// on, never splitting a record. A nil return means the store admitted
-// every line.
+// writes one WAL run instead of one per record. The batch is therefore
+// also the durability and poison boundary: a WAL failure fails the batch
+// from the torn record on, never splitting a record. A nil return means
+// the store admitted every line.
 func (s *Service) Ingest(topicName string, lines []string) error {
 	st, err := s.topic(topicName)
 	if err != nil {
@@ -699,13 +674,10 @@ type Stats struct {
 	WALPoisonRotations int64 `json:",omitempty"`
 	// Degraded-mode state: Degraded is true while the topic's store has
 	// entered read-only mode (ingest rejected, queries served);
-	// DegradedReason carries the cause. DegradedShards counts sick
-	// shards of a sharded topic that the router is steering around
-	// (ingest stays available until every shard degrades). SealRetries
-	// counts failed seal attempts that were retried with backoff.
+	// DegradedReason carries the cause. SealRetries counts failed seal
+	// attempts that were retried with backoff.
 	Degraded       bool   `json:",omitempty"`
 	DegradedReason string `json:",omitempty"`
-	DegradedShards int    `json:",omitempty"`
 	SealRetries    int64  `json:",omitempty"`
 	// Segment-store compression counters and codec; the counts stay
 	// zero until the first seal.
@@ -718,10 +690,6 @@ type Stats struct {
 	SegmentBlocksPruned    int64   `json:",omitempty"`
 	SegmentReadErrors      int64   `json:",omitempty"`
 	SegmentCodec           string  `json:",omitempty"`
-	// Sharded-store breakdown, present when Config.TopicShards > 1: the
-	// shard count and each shard's record/byte/segment counters.
-	TopicShards int                  `json:",omitempty"`
-	Shards      []logstore.ShardStat `json:",omitempty"`
 }
 
 // TopicStats returns counters for one topic. It takes no topic-wide lock:
@@ -779,11 +747,6 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 	stats.SegmentRatio = sst.Ratio()
 	stats.SegmentBlockReads = sst.BlockReads
 	stats.SegmentCodec = sst.Codec
-	if sh, ok := st.store.(*logstore.ShardedStore); ok {
-		stats.TopicShards = sh.Shards()
-		stats.Shards = sh.ShardStats()
-		stats.DegradedShards = sh.DegradedShards()
-	}
 	return stats, nil
 }
 
@@ -903,11 +866,15 @@ func (s *Service) queryRows(st *topicState, topicName string, threshold float64,
 			if node != nil {
 				row.Template = snap.displayTemplate(node)
 				row.Saturation = node.Saturation
-			} else {
+			} else if id == 0 {
 				// Records ingested before the first training carry no
 				// template (§3: "templates are unavailable for logs
 				// before first training completes").
 				row.Template = "(unparsed: ingested before first training)"
+			} else {
+				// A stored ID the current model cannot resolve keeps its
+				// ID and its own label: it is not a pre-training record.
+				row.Template = "(unresolved template id)"
 			}
 			rows[rowID] = row
 		}

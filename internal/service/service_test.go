@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bytebrain/internal/core"
+	"bytebrain/internal/logstore"
 	"bytebrain/internal/obs"
 )
 
@@ -198,6 +199,48 @@ func TestQueryBeforeTraining(t *testing.T) {
 	_ = s.CreateTopic("app")
 	if _, err := s.Query("app", 0.5, TimeRange{}); err == nil {
 		t.Error("query before first training should error")
+	}
+}
+
+// TestQueryLabelsUnresolvedTemplateID: a stored nonzero template ID the
+// model cannot resolve keeps its ID and is not passed off as a record
+// ingested before the first training.
+func TestQueryLabelsUnresolvedTemplateID(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	if err := s.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest("app", genLines(200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Train("app"); err != nil {
+		t.Fatal(err)
+	}
+	store, err := s.Store("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unknown = uint64(1) << 60
+	if _, err := store.AppendBatch(time.Unix(1700000000, 0), []logstore.BatchRecord{{Raw: "from another model", TemplateID: unknown}}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.Query("app", 0.7, TimeRange{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, r := range rows {
+		if r.TemplateID != unknown {
+			continue
+		}
+		found = true
+		if r.Count != 1 || r.Template != "(unresolved template id)" {
+			t.Fatalf("unresolved template row = %+v", r)
+		}
+	}
+	if !found {
+		t.Fatalf("no row keeps template ID %d: %+v", unknown, rows)
 	}
 }
 

@@ -20,14 +20,6 @@ func TestHotPathStress(t *testing.T) {
 		SegmentBytes:  16 << 10,
 		SegmentCodec:  "flate",
 	}
-	runHotPathStress(t, cfg)
-}
-
-// runHotPathStress drives Ingest, Query, forced Train and Compact on one
-// topic from many goroutines; sharded configs reuse it to race the
-// cross-shard fan-out paths.
-func runHotPathStress(t *testing.T, cfg Config) {
-	t.Helper()
 	s := New(cfg)
 	defer s.Close()
 	if err := s.CreateTopic("hot"); err != nil {
