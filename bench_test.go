@@ -309,11 +309,10 @@ func benchBatches(recs []segment.Record, size int) [][]logstore.BatchRecord {
 	return batches
 }
 
-// BenchmarkQueryPushdown compares grouped queries over sealed segments:
-// the metadata pushdown path (Service.Query via Store.GroupedCounts) vs a
-// full record scan that decompresses every block per query. The pushdown
-// sub-benchmark also asserts the segment block-read counter does not move
-// — grouped queries are metadata-only.
+// BenchmarkQueryPushdown measures grouped queries over sealed segments
+// through the metadata pushdown path (Service.Query via
+// Store.GroupedCounts), and asserts the segment block-read counter does
+// not move — grouped queries are metadata-only.
 func BenchmarkQueryPushdown(b *testing.B) {
 	ds, err := bytebrain.GenerateLogHub("HDFS", 1)
 	if err != nil {
@@ -374,39 +373,6 @@ func BenchmarkQueryPushdown(b *testing.B) {
 				after.SegmentBlockReads-before.SegmentBlockReads, before.SegmentBlockReads, after.SegmentBlockReads)
 		}
 	})
-
-	b.Run("fullscan", func(b *testing.B) {
-		svc := newSealedService(b)
-		defer svc.Close()
-		model, err := svc.Model("bench")
-		if err != nil || model == nil {
-			b.Fatalf("model: %v", err)
-		}
-		store, err := svc.Store("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// The pre-pushdown Query: visit every record, roll each up.
-			counts := map[uint64]int{}
-			store.Scan(0, -1, logstore.TimeRange{}, func(r logstore.Record) bool {
-				id := r.TemplateID
-				if id != 0 {
-					if n, err := model.TemplateAt(id, 0.7); err == nil {
-						id = n.ID
-					}
-				}
-				counts[id]++
-				return true
-			})
-			if len(counts) == 0 {
-				b.Fatal("no groups")
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
 }
 
 // BenchmarkTimeRangeQuery measures time-range pushdown over many sealed
@@ -416,8 +382,7 @@ func BenchmarkQueryPushdown(b *testing.B) {
 // asserts via the block-read counter that each query decompresses
 // exactly that one block — O(blocks-in-range), not O(all-blocks) — and
 // the aligned sub-benchmark that a range covering whole blocks
-// decompresses nothing at all. The fullscan sub-benchmark is the
-// pre-pushdown cost for comparison: every block, every query.
+// decompresses nothing at all.
 func BenchmarkTimeRangeQuery(b *testing.B) {
 	ds, err := bytebrain.GenerateLogHub("HDFS", 1)
 	if err != nil {
@@ -555,31 +520,6 @@ func BenchmarkTimeRangeQuery(b *testing.B) {
 		if delta := blockReads(b, svc) - before; delta != 0 {
 			b.Fatalf("block-aligned range read %d blocks, want 0", delta)
 		}
-	})
-
-	b.Run("fullscan", func(b *testing.B) {
-		svc := newService(b)
-		defer svc.Close()
-		store, err := svc.Store("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// The pre-pushdown shape: scan everything, filter by time.
-			n := 0
-			store.Scan(0, -1, logstore.TimeRange{}, func(r logstore.Record) bool {
-				if !r.Time.Before(narrow.From) && !r.Time.After(narrow.To) {
-					n++
-				}
-				return true
-			})
-			if n == 0 {
-				b.Fatal("no records in range")
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
 }
 

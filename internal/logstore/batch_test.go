@@ -79,15 +79,6 @@ func batchTestRecords() ([][]BatchRecord, []time.Time) {
 	return batches, times
 }
 
-func collectScan(s Store) []Record {
-	var out []Record
-	s.Scan(0, -1, TimeRange{}, func(r Record) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
-}
-
 // diffStores fails unless the store fed singleton batches (one) and the
 // store fed the varied batches (batch) are observably identical.
 func diffStores(t *testing.T, label string, one, batch Store) {
@@ -98,13 +89,10 @@ func diffStores(t *testing.T, label string, one, batch Store) {
 	if one.Bytes() != batch.Bytes() {
 		t.Fatalf("%s: Bytes: singletons %d, batch %d", label, one.Bytes(), batch.Bytes())
 	}
-	a, b := collectScan(one), collectScan(batch)
-	if len(a) != len(b) {
-		t.Fatalf("%s: Scan counts: singletons %d, batch %d", label, len(a), len(b))
-	}
+	a, b := allRecords(t, one), allRecords(t, batch)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("%s: Scan record %d: singletons %+v, batch %+v", label, i, a[i], b[i])
+			t.Fatalf("%s: record %d: singletons %+v, batch %+v", label, i, a[i], b[i])
 		}
 	}
 	ga, gb := one.GroupedCounts(5, TimeRange{}), batch.GroupedCounts(5, TimeRange{})
@@ -130,7 +118,7 @@ func diffStores(t *testing.T, label string, one, batch Store) {
 
 // TestAppendBatchEquivalence is batch-partition invariance: on every
 // store layout, the same record sequence fed as varied batches and as
-// singleton batches must produce exactly the same offsets, scan results,
+// singleton batches must produce exactly the same offsets, records,
 // grouped counts, search hits, and (for persistent layouts)
 // post-recovery state. How callers cut the stream into batches is never
 // observable.

@@ -77,11 +77,12 @@ const (
 )
 
 // CompactingStore is the hybrid topic store: hot writes land in an
-// in-memory Topic (template-indexed, immediately queryable), and a
+// in-memory topic block (template-indexed, immediately queryable), and a
 // background compactor seals full blocks into immutable template-aware
-// compressed segments. Queries fan out over sealed segments — using
-// template/bloom/time pushdown from segment metadata so non-matching
-// blocks are never decompressed — plus the hot block.
+// compressed segments. Every query is one fan-out over the blocks, hot
+// and sealed alike (see block and fanOut): sealed segments push the
+// predicate into their metadata — template, bloom and time bounds — so
+// non-matching blocks are never decompressed.
 //
 // With Dir configured, hot appends also go to a per-block write-ahead
 // log; a crash loses at most the unflushed WAL tail, and recovery
@@ -112,11 +113,10 @@ type CompactingStore struct {
 }
 
 // compactBlock is one contiguous offset range of the topic, either still
-// hot (in-memory Topic) or sealed (segment reader).
+// hot (in-memory topic) or sealed (segment reader).
 type compactBlock struct {
-	idx     int   // monotonic block number; names the files
-	first   int64 // topic offset of the first record
-	hot     *Topic
+	idx     int // monotonic block number; names the files
+	hot     *topic
 	sealing bool
 	seg     *segment.Reader
 	wal     *walWriter
@@ -124,11 +124,13 @@ type compactBlock struct {
 	// recovered without a live writer; removed after a successful seal
 }
 
-func (b *compactBlock) count() int64 {
+// view returns the block as the read path sees it; callers hold the
+// store lock, since the sealer swaps hot for seg under it.
+func (b *compactBlock) view() block {
 	if b.seg != nil {
-		return int64(b.seg.Count())
+		return b.seg
 	}
-	return int64(b.hot.Len())
+	return b.hot
 }
 
 // OpenCompacting opens a compacting store, recovering on-disk state when
@@ -314,27 +316,27 @@ func (s *CompactingStore) recover() error {
 						return fmt.Errorf("logstore: compacting recover: remove redundant wal %s: %w", filepath.Base(wal), err)
 					}
 				}
-				s.blocks = append(s.blocks, &compactBlock{idx: i, first: next, seg: r})
+				s.blocks = append(s.blocks, &compactBlock{idx: i, seg: r})
 				s.m.RecoveredSegments.Inc()
 				next += int64(r.Count())
 				continue
 			}
 		}
-		// WAL-only block: replay it into a hot Topic. Recovered blocks
+		// WAL-only block: replay it into a hot topic. Recovered blocks
 		// re-queue for sealing, except that the newest one may resume
 		// as the live hot block (see below).
-		hot := NewTopic()
+		hot := newTopic(next)
 		if err := replayWAL(s.fs, walIdx[i], hot, s.m); err != nil {
 			return err
 		}
-		if hot.Len() == 0 {
+		if hot.Count() == 0 {
 			if err := s.fs.Remove(walIdx[i]); err != nil {
 				return fmt.Errorf("logstore: compacting recover: remove empty wal %s: %w", filepath.Base(walIdx[i]), err)
 			}
 			continue
 		}
-		s.blocks = append(s.blocks, &compactBlock{idx: i, first: next, hot: hot, sealing: true, walPath: walIdx[i]})
-		next += int64(hot.Len())
+		s.blocks = append(s.blocks, &compactBlock{idx: i, hot: hot, sealing: true, walPath: walIdx[i]})
+		next += int64(hot.Count())
 	}
 	// The newest block, when replayed from a WAL and still under the
 	// seal threshold, resumes as the live hot block instead of being
@@ -342,7 +344,7 @@ func (s *CompactingStore) recover() error {
 	// mint an undersized segment.
 	if n := len(s.blocks); n > 0 {
 		last := s.blocks[n-1]
-		if last.hot != nil && last.hot.Bytes() < s.cfg.SegmentBytes {
+		if last.hot != nil && last.hot.RawBytes() < s.cfg.SegmentBytes {
 			w, err := openWAL(s.fs, last.walPath, s.m)
 			if err != nil {
 				return err
@@ -360,9 +362,9 @@ func (s *CompactingStore) startHotLocked() error {
 	if n := len(s.blocks); n > 0 {
 		last := s.blocks[n-1]
 		idx = last.idx + 1
-		first = last.first + last.count()
+		first = end(last.view())
 	}
-	b := &compactBlock{idx: idx, first: first, hot: NewTopic()}
+	b := &compactBlock{idx: idx, hot: newTopic(first)}
 	if s.cfg.Dir != "" {
 		path := filepath.Join(s.cfg.Dir, fmt.Sprintf("%s%06d%s", walPrefix, idx, walSuffix))
 		w, err := openWAL(s.fs, path, s.m)
@@ -423,11 +425,11 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 		}
 		b = s.blocks[len(s.blocks)-1]
 	}
-	first := b.first + int64(b.hot.Len())
+	first := end(b.hot)
 	for i := 0; i < len(recs); {
 		// Chunk: records that fit the current block, up to and including
 		// the one whose bytes push it over the seal threshold.
-		bytes := b.hot.Bytes()
+		bytes := b.hot.RawBytes()
 		j := i
 		for j < len(recs) {
 			bytes += int64(len(recs[j].Raw))
@@ -440,7 +442,7 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 		if b.wal != nil {
 			n, err := b.wal.appendBatch(ts, chunk)
 			if n > 0 {
-				b.hot.AppendBatch(ts, chunk[:n])
+				b.hot.appendBatch(ts, chunk[:n])
 				s.walDirty = true
 			}
 			if err != nil {
@@ -451,10 +453,10 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 				return first, fmt.Errorf("logstore: wal append: %w", err)
 			}
 		} else {
-			b.hot.AppendBatch(ts, chunk)
+			b.hot.appendBatch(ts, chunk)
 		}
 		i = j
-		if b.hot.Bytes() >= s.cfg.SegmentBytes {
+		if b.hot.RawBytes() >= s.cfg.SegmentBytes {
 			// Only hand the block to the sealer once its successor exists;
 			// if rotation fails the block simply keeps absorbing appends
 			// (correct, just uncompacted) and the error is surfaced via
@@ -488,7 +490,7 @@ func (s *CompactingStore) poisonRotateLocked(b *compactBlock) {
 		s.sealErr = err
 		return
 	}
-	if b.hot.Len() > 0 {
+	if b.hot.Count() > 0 {
 		b.sealing = true
 		s.kickSealer()
 		return
@@ -705,7 +707,7 @@ func (s *CompactingStore) probeRecovery() {
 		if err := s.startHotLocked(); err != nil {
 			return
 		}
-		if b.hot.Len() > 0 {
+		if b.hot.Count() > 0 {
 			b.sealing = true
 		}
 	}
@@ -777,18 +779,10 @@ func (s *CompactingStore) sealOne() (attempted bool, _ error) {
 	}
 	s.mu.Unlock()
 
-	// The block no longer receives appends; read it without the store
-	// lock so queries and hot writes continue during compression.
-	recs := make([]segment.Record, 0, b.hot.Len())
-	b.hot.Scan(0, -1, TimeRange{}, func(r Record) bool {
-		recs = append(recs, segment.Record{
-			Offset:     b.first + r.Offset,
-			Time:       r.Time,
-			Raw:        r.Raw,
-			TemplateID: r.TemplateID,
-		})
-		return true
-	})
+	// The block no longer receives appends; encode its records in place,
+	// without the store lock, so queries and hot writes continue during
+	// compression. A hot block's Records never fails.
+	recs, _ := b.hot.Records()
 	start := time.Now()
 	reader, err := s.sealRecords(b, recs)
 	s.m.SealSeconds.ObserveDuration(time.Since(start))
@@ -831,7 +825,7 @@ func (s *CompactingStore) sealOne() (attempted bool, _ error) {
 
 // sealRecords encodes one block and, when persistent, writes it
 // atomically to disk.
-func (s *CompactingStore) sealRecords(b *compactBlock, recs []segment.Record) (*segment.Reader, error) {
+func (s *CompactingStore) sealRecords(b *compactBlock, recs []Record) (*segment.Reader, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("logstore: seal empty block %d", b.idx)
 	}
@@ -883,7 +877,7 @@ func (s *CompactingStore) Seal() error {
 			s.kickSealer()
 			return err
 		}
-	case b.hot.Len() > 0:
+	case b.hot.Count() > 0:
 		if err := s.startHotLocked(); err != nil {
 			s.kickSealer()
 			return err
@@ -923,39 +917,74 @@ func (s *CompactingStore) SealError() error {
 	return s.sealErr
 }
 
-// blockView is a consistent read-side snapshot of one block. The seg/hot
-// fields of compactBlock are mutated by the sealer under the store lock,
-// so queries must not read them from raw block pointers; a view copied
-// under the lock stays valid afterwards (sealed readers are immutable and
-// a hot Topic is never mutated again once its view was taken while it was
-// seal-pending — and has its own lock regardless).
-type blockView struct {
-	first int64
-	n     int64
-	seg   *segment.Reader
-	hot   *Topic
+// block is one contiguous span of the topic's offsets as the read path
+// sees it: the hot topic or a sealed segment.Reader, whose …Info methods
+// set the shape. Each answer also reports whether it decoded a sealed
+// payload; false from a sealed block means its metadata alone answered.
+type block interface {
+	FirstOffset() int64
+	Count() int
+	RawBytes() int64
+	Records() ([]Record, error)
+	SearchRangeInfo(token string, from, to time.Time) ([]int64, bool, error)
+	ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64, bool, error)
+	TemplateMetasRangeInfo(from, to time.Time) ([]segment.TemplateMeta, bool, error)
 }
 
-func (v blockView) last() int64 { return v.first + v.n }
+var (
+	_ block = (*topic)(nil)
+	_ block = (*segment.Reader)(nil)
+)
 
-// snapshot copies the current block list into read-safe views.
-func (s *CompactingStore) snapshot() []blockView {
+// end returns the offset one past b's last record.
+func end(b block) int64 { return b.FirstOffset() + int64(b.Count()) }
+
+// snapshot returns the current blocks, oldest first. A sealed reader is
+// immutable, and a hot topic stays readable after its block seals, so
+// the views stay valid once the lock is released.
+func (s *CompactingStore) snapshot() []block {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]blockView, len(s.blocks))
+	out := make([]block, len(s.blocks))
 	for i, b := range s.blocks {
-		out[i] = blockView{first: b.first, n: b.count(), seg: b.seg, hot: b.hot}
+		out[i] = b.view()
 	}
 	return out
 }
 
+// fanOut is the read path: it asks each of blocks one question, oldest
+// first, and keeps the pushdown accounting in one place. ask merges the
+// block's answer and returns its decoded flag and error. Only sealed
+// blocks count: one answered from metadata alone in BlocksPruned, one
+// whose payload failed to decode in SegmentReadErrors. Blocks after a
+// failure are still asked; fanOut returns the first error.
+func (s *CompactingStore) fanOut(blocks []block, ask func(block) (decoded bool, err error)) error {
+	var first error
+	for _, b := range blocks {
+		decoded, err := ask(b)
+		if _, hot := b.(*topic); hot {
+			continue
+		}
+		switch {
+		case err != nil:
+			s.m.SegmentReadErrors.Inc()
+			if first == nil {
+				first = err
+			}
+		case !decoded:
+			s.m.BlocksPruned.Inc()
+		}
+	}
+	return first
+}
+
 // Len implements Store.
 func (s *CompactingStore) Len() int {
-	var n int64
+	n := 0
 	for _, b := range s.snapshot() {
-		n += b.n
+		n += b.Count()
 	}
-	return int(n)
+	return n
 }
 
 // Bytes implements Store: the raw payload size the topic represents
@@ -963,124 +992,49 @@ func (s *CompactingStore) Len() int {
 func (s *CompactingStore) Bytes() int64 {
 	var n int64
 	for _, b := range s.snapshot() {
-		if b.seg != nil {
-			n += b.seg.RawBytes()
-		} else {
-			n += b.hot.Bytes()
-		}
+		n += b.RawBytes()
 	}
 	return n
 }
 
-// GetBatch implements Store. Offsets are grouped per block first, so a
-// sealed block touched by many offsets pays exactly one payload
-// decompression instead of one per offset — the win the query
-// sample-fetch path exists for.
+// GetBatch implements Store. Offsets are grouped per block first and only
+// the blocks they touch are asked, so a sealed block touched by many
+// offsets pays exactly one payload decompression instead of one per
+// offset — the win the query sample-fetch path exists for.
 func (s *CompactingStore) GetBatch(offsets []int64) ([]Record, error) {
 	if len(offsets) == 0 {
 		return nil, nil
 	}
 	blocks := s.snapshot()
-	out := make([]Record, len(offsets))
-	groups := make(map[int][]int, 1) // block index → positions in offsets
+	var touched []block
+	groups := make(map[block][]int, 1) // block → positions in offsets
 	for pos, off := range offsets {
 		// Blocks are offset-ordered: binary search the owning block.
-		bi := sort.Search(len(blocks), func(i int) bool { return blocks[i].last() > off })
-		if bi == len(blocks) || off < blocks[bi].first {
+		bi := sort.Search(len(blocks), func(i int) bool { return end(blocks[i]) > off })
+		if bi == len(blocks) || off < blocks[bi].FirstOffset() {
 			return nil, fmt.Errorf("logstore: offset %d out of range [0,%d)", off, s.Len())
 		}
-		groups[bi] = append(groups[bi], pos)
-	}
-	for bi, positions := range groups {
 		b := blocks[bi]
-		if b.seg != nil {
-			recs, err := b.seg.Records()
-			if err != nil {
-				return nil, err
-			}
-			for _, pos := range positions {
-				rec := recs[offsets[pos]-b.first]
-				out[pos] = Record{Offset: rec.Offset, Time: rec.Time, Raw: rec.Raw, TemplateID: rec.TemplateID}
-			}
-			continue
+		if groups[b] == nil {
+			touched = append(touched, b)
 		}
-		local := make([]int64, len(positions))
-		for i, pos := range positions {
-			local[i] = offsets[pos] - b.first
-		}
-		recs, err := b.hot.GetBatch(local)
+		groups[b] = append(groups[b], pos)
+	}
+	out := make([]Record, len(offsets))
+	err := s.fanOut(touched, func(b block) (bool, error) {
+		recs, err := b.Records()
 		if err != nil {
-			return nil, err
+			return true, err
 		}
-		for i, pos := range positions {
-			recs[i].Offset = offsets[pos]
-			out[pos] = recs[i]
+		for _, pos := range groups[b] {
+			out[pos] = recs[offsets[pos]-b.FirstOffset()]
 		}
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// Scan implements Store. Sealed blocks whose metadata time bounds fall
-// outside tr are skipped without decompression.
-func (s *CompactingStore) Scan(from, to int64, tr TimeRange, fn func(Record) bool) {
-	if from < 0 {
-		from = 0
-	}
-	if tr.Empty() {
-		return
-	}
-	stop := false
-	for _, b := range s.snapshot() {
-		if stop {
-			return
-		}
-		last := b.last()
-		if to >= 0 && b.first >= to {
-			return
-		}
-		if last <= from {
-			continue
-		}
-		if b.seg != nil {
-			if !b.seg.OverlapsRange(tr.From, tr.To) {
-				s.m.BlocksPruned.Inc()
-				continue
-			}
-			err := b.seg.Scan(func(rec segment.Record) bool {
-				if rec.Offset < from {
-					return true
-				}
-				if to >= 0 && rec.Offset >= to {
-					stop = true
-					return false
-				}
-				if !tr.Contains(rec.Time) {
-					return true
-				}
-				if !fn(Record{Offset: rec.Offset, Time: rec.Time, Raw: rec.Raw, TemplateID: rec.TemplateID}) {
-					stop = true
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				s.m.SegmentReadErrors.Inc()
-			}
-			continue
-		}
-		lo, hi := from-b.first, int64(-1)
-		if to >= 0 {
-			hi = to - b.first
-		}
-		b.hot.Scan(lo, hi, tr, func(r Record) bool {
-			r.Offset += b.first
-			if !fn(r) {
-				stop = true
-				return false
-			}
-			return true
-		})
-	}
 }
 
 // ByTemplateRange implements Store. Sealed blocks prune on metadata
@@ -1092,40 +1046,11 @@ func (s *CompactingStore) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
 	if tr.Empty() {
 		return out
 	}
-	for _, b := range s.snapshot() {
-		if b.seg != nil {
-			any := false
-			for _, id := range ids {
-				if b.seg.HasTemplate(id) {
-					any = true
-					break
-				}
-			}
-			if !any {
-				// Metadata rules every queried template out: counted here,
-				// never decompressed.
-				s.m.BlocksPruned.Inc()
-				continue
-			}
-			offs, decoded, err := b.seg.ByTemplateRangeInfo(tr.From, tr.To, ids...)
-			if err != nil {
-				s.m.SegmentReadErrors.Inc()
-				continue
-			}
-			if !decoded {
-				// Time-bound prune: the templates exist but nothing can
-				// lie in tr.
-				s.m.BlocksPruned.Inc()
-				continue
-			}
-			out = append(out, offs...)
-			continue
-		}
-		for _, off := range b.hot.ByTemplateRange(tr, ids...) {
-			out = append(out, off+b.first)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	s.fanOut(s.snapshot(), func(b block) (bool, error) {
+		offs, decoded, err := b.ByTemplateRangeInfo(tr.From, tr.To, ids...)
+		out = append(out, offs...)
+		return decoded, err
+	})
 	return out
 }
 
@@ -1142,68 +1067,27 @@ func (s *CompactingStore) GroupedCounts(maxSamples int, tr TimeRange) map[uint64
 	if tr.Empty() {
 		return out
 	}
-	merge := func(id uint64, count int, samples []int64) {
-		g := out[id]
-		g.Count += count
-		for _, off := range samples {
-			if len(g.Samples) >= maxSamples {
-				break
+	s.fanOut(s.snapshot(), func(b block) (bool, error) {
+		metas, decoded, err := b.TemplateMetasRangeInfo(tr.From, tr.To)
+		for _, tm := range metas {
+			g := out[tm.ID]
+			g.Count += tm.Count
+			if n := min(maxSamples-len(g.Samples), len(tm.Samples)); n > 0 {
+				g.Samples = append(g.Samples, tm.Samples[:n]...)
 			}
-			g.Samples = append(g.Samples, off)
+			out[tm.ID] = g
 		}
-		out[id] = g
-	}
-	for _, b := range s.snapshot() {
-		if b.seg != nil {
-			metas, decoded, err := b.seg.TemplateMetasRangeInfo(tr.From, tr.To)
-			if !decoded {
-				s.m.BlocksPruned.Inc()
-			}
-			if err != nil {
-				s.m.SegmentReadErrors.Inc()
-				continue
-			}
-			for _, tm := range metas {
-				merge(tm.ID, tm.Count, tm.Samples)
-			}
-			continue
-		}
-		for id, g := range b.hot.GroupedCounts(maxSamples, tr) {
-			for i := range g.Samples {
-				g.Samples[i] += b.first
-			}
-			merge(id, g.Count, g.Samples)
-		}
-	}
+		return decoded, err
+	})
 	return out
 }
 
-// TemplateCounts implements Store, with the same range pushdown as
-// GroupedCounts.
+// TemplateCounts implements Store: GroupedCounts without samples, with
+// the same range pushdown.
 func (s *CompactingStore) TemplateCounts(tr TimeRange) map[uint64]int {
 	out := make(map[uint64]int)
-	if tr.Empty() {
-		return out
-	}
-	for _, b := range s.snapshot() {
-		var m map[uint64]int
-		if b.seg != nil {
-			var err error
-			var decoded bool
-			m, decoded, err = b.seg.TemplateCountsRangeInfo(tr.From, tr.To)
-			if !decoded {
-				s.m.BlocksPruned.Inc()
-			}
-			if err != nil {
-				s.m.SegmentReadErrors.Inc()
-				continue
-			}
-		} else {
-			m = b.hot.TemplateCounts(tr)
-		}
-		for id, n := range m {
-			out[id] += n
-		}
+	for id, g := range s.GroupedCounts(0, tr) {
+		out[id] = g.Count
 	}
 	return out
 }
@@ -1216,26 +1100,11 @@ func (s *CompactingStore) SearchRange(token string, tr TimeRange) []int64 {
 	if tr.Empty() {
 		return out
 	}
-	for _, b := range s.snapshot() {
-		if b.seg != nil {
-			offs, decoded, err := b.seg.SearchRangeInfo(token, tr.From, tr.To)
-			if err != nil {
-				s.m.SegmentReadErrors.Inc()
-				continue
-			}
-			if !decoded {
-				// Bloom screen or time-bound prune: counted here, never
-				// decompressed.
-				s.m.BlocksPruned.Inc()
-				continue
-			}
-			out = append(out, offs...)
-			continue
-		}
-		for _, off := range b.hot.SearchRange(token, tr) {
-			out = append(out, off+b.first)
-		}
-	}
+	s.fanOut(s.snapshot(), func(b block) (bool, error) {
+		offs, decoded, err := b.SearchRangeInfo(token, tr.From, tr.To)
+		out = append(out, offs...)
+		return decoded, err
+	})
 	return out
 }
 
@@ -1270,15 +1139,16 @@ func (st SegmentStats) Ratio() float64 {
 func (s *CompactingStore) SegmentStats() SegmentStats {
 	st := SegmentStats{Codec: s.cfg.Codec.String()}
 	for _, b := range s.snapshot() {
-		if b.seg != nil {
-			st.Segments++
-			st.SealedRecords += b.seg.Count()
-			st.RawBytes += b.seg.RawBytes()
-			st.CompressedBytes += b.seg.EncodedBytes()
-			st.BlockReads += b.seg.BlockReads()
-		} else {
-			st.HotRecords += b.hot.Len()
+		seg, ok := b.(*segment.Reader)
+		if !ok {
+			st.HotRecords += b.Count()
+			continue
 		}
+		st.Segments++
+		st.SealedRecords += seg.Count()
+		st.RawBytes += seg.RawBytes()
+		st.CompressedBytes += seg.EncodedBytes()
+		st.BlockReads += seg.BlockReads()
 	}
 	return st
 }
@@ -1530,11 +1400,11 @@ func readRecord(r *bufio.Reader) (Record, int64, error) {
 		int64(recordOverhead) + int64(rawLen), nil
 }
 
-// replayWAL loads a write-ahead log into a Topic, truncating a torn tail
+// replayWAL loads a write-ahead log into a topic, truncating a torn tail
 // (the crash case). The topic stays locked for the whole replay: records
 // carry their own timestamps, so they go in one by one, and recovery is
 // the only party that can reach the topic yet.
-func replayWAL(fsys fsx.FS, path string, into *Topic, m *Metrics) error {
+func replayWAL(fsys fsx.FS, path string, into *topic, m *Metrics) error {
 	if m == nil {
 		m = &Metrics{}
 	}

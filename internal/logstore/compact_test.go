@@ -75,14 +75,19 @@ func TestCompactingStoreRoundTrip(t *testing.T) {
 				}
 			}
 
-			// Scan a window spanning blocks.
-			var seen []int64
-			s.Scan(100, 410, TimeRange{}, func(r Record) bool {
-				seen = append(seen, r.Offset)
-				return true
-			})
-			if len(seen) != 310 || seen[0] != 100 || seen[len(seen)-1] != 409 {
-				t.Fatalf("Scan window: %d records, ends %d..%d", len(seen), seen[0], seen[len(seen)-1])
+			// Fetch a window spanning blocks.
+			var window []int64
+			for off := int64(100); off < 410; off++ {
+				window = append(window, off)
+			}
+			recs, err := s.GetBatch(window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range recs {
+				if r.Offset != window[i] || r.Raw != fmt.Sprintf("worker %d finished job job-%d in 12ms", r.Offset%7, r.Offset) {
+					t.Fatalf("window record %d = %+v", i, r)
+				}
 			}
 
 			// Template query: exact counts and ascending offsets.

@@ -2,7 +2,6 @@ package logstore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -25,8 +24,8 @@ import (
 //   - no record is duplicated and no phantom records appear,
 //   - the latest recoverable model snapshot is intact, never torn.
 //
-// The full sweep runs when BYTEBRAIN_CRASH_MATRIX=1 (CI has a gated
-// job for it); otherwise a bounded smoke strides across the op space.
+// Every op index is swept: the workload is small and deterministic, so
+// the full sweep takes a fraction of a second.
 
 // crashStoreOpts returns tight, deterministic store options for matrix
 // runs: fsync after every batch would hide interesting orderings, so
@@ -130,10 +129,9 @@ func verifyCrashRecovery(t *testing.T, label string, fsys *fsx.FaultFS, dir stri
 		attempted[raw] = true
 	}
 	seen := map[string]int{}
-	st.Scan(0, -1, TimeRange{}, func(r Record) bool {
+	for _, r := range allRecords(t, st) {
 		seen[r.Raw]++
-		return true
-	})
+	}
 	for raw, n := range seen {
 		if n > 1 {
 			t.Errorf("%s: record %q recovered %d times (duplicate)", label, raw, n)
@@ -175,34 +173,6 @@ func verifyCrashRecovery(t *testing.T, label string, fsys *fsx.FaultFS, dir stri
 	}
 }
 
-// matrixIndexes picks the op indexes to sweep: every one under the env
-// gate, a deterministic stride plus the tail otherwise.
-func matrixIndexes(t *testing.T, n int64) []int64 {
-	var ks []int64
-	if os.Getenv("BYTEBRAIN_CRASH_MATRIX") == "1" {
-		for k := int64(1); k <= n; k++ {
-			ks = append(ks, k)
-		}
-		return ks
-	}
-	step := n / 24
-	if step < 1 {
-		step = 1
-	}
-	for k := int64(1); k <= n; k += step {
-		ks = append(ks, k)
-	}
-	// The close/teardown ops at the very end are where WAL flush and
-	// teardown faults hide; always include the last few.
-	for k := n - 2; k <= n; k++ {
-		if k > 0 && (len(ks) == 0 || ks[len(ks)-1] < k) {
-			ks = append(ks, k)
-		}
-	}
-	t.Logf("crash matrix smoke: %d of %d op indexes (set BYTEBRAIN_CRASH_MATRIX=1 for the full sweep)", len(ks), n)
-	return ks
-}
-
 func TestCrashMatrix(t *testing.T) {
 	// Baseline: a faultless run sizes the matrix and proves the workload
 	// itself acks everything.
@@ -218,7 +188,7 @@ func TestCrashMatrix(t *testing.T) {
 	}
 	verifyCrashRecovery(t, "faultless", base, "/data", run)
 
-	for _, k := range matrixIndexes(t, n) {
+	for k := int64(1); k <= n; k++ {
 		// Power cut at op k: unsynced bytes vanish, then the machine
 		// restarts and the store must reopen from the crash image.
 		fsys := fsx.NewFaultFS()

@@ -38,7 +38,7 @@ func TestDiskInternalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemStoreImplementsStore(t *testing.T) {
+func TestNewStoreInMemory(t *testing.T) {
 	s := NewStore("mem")
 	off, err := appendOne(s, ts(1), "hello world", 7)
 	if err != nil || off != 0 {

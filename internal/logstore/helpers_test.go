@@ -1,8 +1,11 @@
 package logstore
 
-import "time"
+import (
+	"testing"
+	"time"
+)
 
-// The three helpers below keep the single-record call shapes the suites
+// The helpers below keep the single-record call shapes the suites
 // were written in, on top of the batch-only Store interface.
 
 // appendOne appends one record as a singleton batch.
@@ -17,6 +20,20 @@ func getOne(s Store, off int64) (Record, error) {
 		return Record{}, err
 	}
 	return recs[0], nil
+}
+
+// allRecords reads every record, in offset order, through GetBatch.
+func allRecords(t *testing.T, s Store) []Record {
+	t.Helper()
+	offs := make([]int64, s.Len())
+	for i := range offs {
+		offs[i] = int64(i)
+	}
+	recs, err := s.GetBatch(offs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // countSince counts records at or after cut (inclusive): the sum of

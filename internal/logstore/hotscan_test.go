@@ -117,13 +117,13 @@ func (g *gateFS) release() { g.once.Do(func() { close(g.open) }) }
 // before the scan ends, so a token search over a whole hot block never
 // stalls writers. The scan sees the records present when it started.
 func TestTopicScanHoldsNoLock(t *testing.T) {
-	tp := NewTopic()
-	tp.AppendBatch(ts(1), []BatchRecord{{Raw: "a b"}, {Raw: "c d"}})
+	tp := newTopic(10)
+	tp.appendBatch(ts(1), []BatchRecord{{Raw: "a b"}, {Raw: "c d"}})
 	var seen []int64
-	tp.Scan(0, -1, TimeRange{}, func(r Record) bool {
+	tp.scan(TimeRange{}, func(r Record) {
 		done := make(chan struct{})
 		go func() {
-			tp.AppendBatch(ts(2), []BatchRecord{{Raw: "a e"}})
+			tp.appendBatch(ts(2), []BatchRecord{{Raw: "a e"}})
 			close(done)
 		}()
 		select {
@@ -132,13 +132,13 @@ func TestTopicScanHoldsNoLock(t *testing.T) {
 			t.Fatal("append blocked behind a running scan")
 		}
 		seen = append(seen, r.Offset)
-		return true
 	})
-	if !reflect.DeepEqual(seen, []int64{0, 1}) {
-		t.Fatalf("scan saw offsets %v, want [0 1]", seen)
+	if !reflect.DeepEqual(seen, []int64{10, 11}) {
+		t.Fatalf("scan saw offsets %v, want [10 11]", seen)
 	}
-	if got := tp.SearchRange("a", TimeRange{}); !reflect.DeepEqual(got, []int64{0, 2, 3}) {
-		t.Fatalf("SearchRange(a) = %v, want [0 2 3]", got)
+	got, _, _ := tp.SearchRangeInfo("a", time.Time{}, time.Time{})
+	if !reflect.DeepEqual(got, []int64{10, 12, 13}) {
+		t.Fatalf("SearchRangeInfo(a) = %v, want [10 12 13]", got)
 	}
 }
 

@@ -9,25 +9,17 @@ package logstore
 
 import (
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"bytebrain/internal/segment"
 )
 
-// Record is one stored log entry.
-type Record struct {
-	// Offset is the dense, zero-based position in the topic.
-	Offset int64
-	// Time is the ingestion timestamp.
-	Time time.Time
-	// Raw is the original log line.
-	Raw string
-	// TemplateID is the most precise template matched at ingestion.
-	TemplateID uint64
-}
+// Record is one stored log entry: its dense, zero-based topic offset,
+// ingestion time, raw line and the template ID matched at ingestion. It is
+// the segment layer's record, so hot and sealed blocks share one shape.
+type Record = segment.Record
 
 // BatchRecord is one record of an AppendBatch call: the raw line and the
 // template ID computed at ingestion. Offsets and the shared batch
@@ -94,9 +86,9 @@ func (tr TimeRange) Overlaps(min, max time.Time) bool {
 
 // Store is the record-storage interface the service writes through; its
 // one implementation is CompactingStore (in memory, or persistent under a
-// directory), one per topic. Every store seals its hot blocks, so the
-// seal-control surface (Compactor) and the degraded read-only state are
-// part of the interface.
+// directory), one per topic. Every method has a caller outside this
+// package. Every store seals its hot blocks, so the seal-control surface
+// (Compactor) and the degraded read-only state are part of the interface.
 type Store interface {
 	Compactor
 	// AppendBatch group-commits a batch of records, all stamped with the
@@ -118,9 +110,6 @@ type Store interface {
 	// group the offsets so each touched block is decoded once, not once
 	// per offset. Any out-of-range offset fails the whole call.
 	GetBatch(offsets []int64) ([]Record, error)
-	// Scan visits records in [from, to) whose timestamp lies in tr until
-	// fn returns false; to < 0 means end, the zero TimeRange visits all.
-	Scan(from, to int64, tr TimeRange, fn func(Record) bool)
 	// ByTemplateRange returns offsets of records with any of the template
 	// IDs whose timestamp lies in tr (zero range = everything),
 	// ascending. Sealed blocks outside tr are pruned by metadata time
@@ -131,7 +120,7 @@ type Store interface {
 	// same sealed-block time pruning as ByTemplateRange.
 	SearchRange(token string, tr TimeRange) []int64
 	// TemplateCounts returns record counts per template ID for records
-	// in tr (zero range = everything).
+	// in tr (zero range = everything): GroupedCounts without samples.
 	TemplateCounts(tr TimeRange) map[uint64]int
 	// GroupedCounts returns per-template record counts plus up to
 	// maxSamples example offsets each for records in tr, served from
@@ -139,7 +128,9 @@ type Store interface {
 	// the range allows — the grouped-query pushdown path. Sealed blocks
 	// outside tr are pruned by metadata time bounds; only blocks the
 	// range straddles are decompressed, and within them only templates
-	// whose own time bounds straddle the boundary.
+	// whose own time bounds straddle the boundary. Each block offers at
+	// most five samples per template, so up to five the samples are the
+	// earliest in-range offsets.
 	GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup
 	// Degraded reports whether the store currently rejects appends
 	// (disk full or persistent seal failure) and, if so, the failure
@@ -169,12 +160,15 @@ func NewStore(name string) Store {
 	return s
 }
 
-// Topic is the hot block of a CompactingStore: an append-only record log
-// with a template index. It keeps no token index — token search scans
-// the records, which a seal size bounds (4 MiB by default), so appends
-// pay only for the template index. All methods are safe for concurrent
-// use.
-type Topic struct {
+// topic is the hot block of a CompactingStore: an append-only record log
+// with a template index, holding topic-global offsets from first on. It
+// keeps no token index — token search scans the records, which a seal
+// size bounds (4 MiB by default), so appends pay only for the template
+// index. It answers the read path's questions in the shape of
+// segment.Reader (see block); the decoded flag is always false, as no
+// payload is ever decoded. All methods are safe for concurrent use.
+type topic struct {
+	first   int64 // offset of the first record; fixed at creation
 	mu      sync.RWMutex
 	records []Record
 	byTmpl  map[uint64][]int64
@@ -187,35 +181,29 @@ type Topic struct {
 	maxTime int64
 }
 
-// NewTopic creates an empty topic.
-func NewTopic() *Topic {
-	return &Topic{byTmpl: make(map[uint64][]int64)}
+// newTopic creates an empty topic whose first record gets offset first.
+func newTopic(first int64) *topic {
+	return &topic{first: first, byTmpl: make(map[uint64][]int64)}
 }
 
-// AppendBatch stores a batch of records under one lock acquisition, all
-// stamped with the same timestamp, and returns the offset assigned to the
-// first record. An empty batch is a no-op returning 0.
-func (t *Topic) AppendBatch(ts time.Time, recs []BatchRecord) int64 {
-	if len(recs) == 0 {
-		return 0
-	}
+// appendBatch stores a batch of records under one lock acquisition, all
+// stamped with the same timestamp.
+func (t *topic) appendBatch(ts time.Time, recs []BatchRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	first := int64(len(t.records))
 	for _, r := range recs {
 		t.appendLocked(ts, r.Raw, r.TemplateID)
 	}
-	return first
 }
 
 // appendLocked stores and indexes one record; callers hold mu.
-func (t *Topic) appendLocked(ts time.Time, raw string, templateID uint64) {
-	off := int64(len(t.records))
+func (t *topic) appendLocked(ts time.Time, raw string, templateID uint64) {
+	off := t.first + int64(len(t.records))
 	ns := ts.UnixNano()
-	if off == 0 || ns > t.maxTime {
+	if len(t.records) == 0 || ns > t.maxTime {
 		t.maxTime = ns
 	}
-	if off == 0 || ns < t.minTime {
+	if len(t.records) == 0 || ns < t.minTime {
 		t.minTime = ns
 	}
 	t.records = append(t.records, Record{Offset: off, Time: ts, Raw: raw, TemplateID: templateID})
@@ -223,34 +211,30 @@ func (t *Topic) appendLocked(ts time.Time, raw string, templateID uint64) {
 	t.bytes += int64(len(raw))
 }
 
-// Len returns the record count.
-func (t *Topic) Len() int {
+// FirstOffset returns the offset of the first record.
+func (t *topic) FirstOffset() int64 { return t.first }
+
+// Count returns the record count.
+func (t *topic) Count() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.records)
 }
 
-// Bytes returns the total raw payload size.
-func (t *Topic) Bytes() int64 {
+// RawBytes returns the total raw payload size.
+func (t *topic) RawBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.bytes
 }
 
-// GetBatch returns the records at offsets, in input order, under one
-// lock acquisition — the offset-dense sample-fetch path (query rows
-// carry a handful of example offsets each).
-func (t *Topic) GetBatch(offsets []int64) ([]Record, error) {
+// Records returns every record, in offset order, without copying:
+// records are append-only and never rewritten, so the slice stays valid
+// while appends continue. It never fails.
+func (t *topic) Records() ([]Record, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]Record, 0, len(offsets))
-	for _, off := range offsets {
-		if off < 0 || off >= int64(len(t.records)) {
-			return nil, fmt.Errorf("logstore: offset %d out of range [0,%d)", off, len(t.records))
-		}
-		out = append(out, t.records[off])
-	}
-	return out, nil
+	return t.records, nil
 }
 
 // rangeDisposition classifies a time range against the topic's
@@ -264,7 +248,7 @@ const (
 	rangeFilter
 )
 
-func (t *Topic) disposeLocked(tr TimeRange) rangeDisposition {
+func (t *topic) disposeLocked(tr TimeRange) rangeDisposition {
 	if len(t.records) == 0 || tr.Empty() {
 		return rangeNone
 	}
@@ -277,84 +261,110 @@ func (t *Topic) disposeLocked(tr TimeRange) rangeDisposition {
 	return rangeFilter
 }
 
-// Scan calls fn for every record in [from, to) offsets whose timestamp
-// lies in tr, until fn returns false. A negative to means "until the
-// end"; the zero TimeRange visits every record. Only the record slice
-// header and the range disposition are read under mu: records are
-// append-only and never rewritten, so fn runs without the lock and a
-// long scan (a token search over a whole block) never stalls appends.
-func (t *Topic) Scan(from, to int64, tr TimeRange, fn func(Record) bool) {
+// scan calls fn for every record whose timestamp lies in tr. Only the
+// record slice header and the range disposition are read under mu:
+// records are append-only and never rewritten, so fn runs without the
+// lock and a long scan (a token search over a whole block) never stalls
+// appends.
+func (t *topic) scan(tr TimeRange, fn func(Record)) {
 	t.mu.RLock()
 	recs, disp := t.records, t.disposeLocked(tr)
 	t.mu.RUnlock()
-	if from < 0 {
-		from = 0
-	}
-	if to < 0 || to > int64(len(recs)) {
-		to = int64(len(recs))
-	}
-	if from >= to || disp == rangeNone {
+	if disp == rangeNone {
 		return
 	}
-	for _, r := range recs[from:to] {
+	for _, r := range recs {
 		if disp == rangeFilter && !tr.Contains(r.Time) {
 			continue
 		}
-		if !fn(r) {
-			return
-		}
+		fn(r)
 	}
 }
 
-// ByTemplateRange returns the offsets of records matched to any of ids
-// whose timestamp lies in tr, in ascending order; the zero range takes
-// the index fast path.
-func (t *Topic) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
+// SearchRangeInfo returns the offsets of records containing token (exact
+// whitespace-delimited match) whose timestamp lies in [from, to],
+// ascending. It is one linear pass over the records, testing each line
+// with segment.HasToken — the predicate sealed blocks use, so a record's
+// hits do not change when its block seals.
+func (t *topic) SearchRangeInfo(token string, from, to time.Time) ([]int64, bool, error) {
+	var out []int64
+	var scratch []string
+	t.scan(TimeRange{From: from, To: to}, func(r Record) {
+		var hit bool
+		if hit, scratch = segment.HasToken(scratch, r.Raw, token); hit {
+			out = append(out, r.Offset)
+		}
+	})
+	return out, false, nil
+}
+
+// ByTemplateRangeInfo returns the offsets of records matched to any of
+// ids whose timestamp lies in [from, to], ascending and each once; a
+// range covering the whole topic takes the index fast path.
+func (t *topic) ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64, bool, error) {
+	tr := TimeRange{From: from, To: to}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	disp := t.disposeLocked(tr)
-	if disp == rangeNone && !tr.IsZero() {
-		return nil
+	if disp == rangeNone {
+		return nil, false, nil
 	}
 	var out []int64
 	for _, id := range ids {
-		if disp == rangeFilter {
-			for _, off := range t.byTmpl[id] {
-				if tr.Contains(t.records[off].Time) {
-					out = append(out, off)
-				}
+		for _, off := range t.byTmpl[id] {
+			if disp == rangeAll || tr.Contains(t.records[off-t.first].Time) {
+				out = append(out, off)
 			}
-		} else {
-			out = append(out, t.byTmpl[id]...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out), false, nil
 }
 
-// TemplateCounts returns the record count per template ID for records in
-// tr (the zero range counts everything, straight from the index; a
-// partial range filters linearly).
-func (t *Topic) TemplateCounts(tr TimeRange) map[uint64]int {
+// blockSamples is how many example offsets per template a block reports
+// to grouped queries: as many as sealed metadata keeps, so a record's
+// samples do not change when its block seals.
+const blockSamples = 5
+
+// TemplateMetasRangeInfo returns every template's record count plus its
+// first blockSamples offsets for records in [from, to] — straight from
+// the template index when the range covers the whole topic, via a linear
+// filter otherwise (the hot block is small; sealed history answers from
+// segment metadata instead). Time bounds are left zero: the read path
+// does not use them.
+func (t *topic) TemplateMetasRangeInfo(from, to time.Time) ([]segment.TemplateMeta, bool, error) {
+	tr := TimeRange{From: from, To: to}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var out []segment.TemplateMeta
 	switch t.disposeLocked(tr) {
 	case rangeNone:
-		return map[uint64]int{}
+		return nil, false, nil
 	case rangeAll:
-		out := make(map[uint64]int, len(t.byTmpl))
+		out = make([]segment.TemplateMeta, 0, len(t.byTmpl))
 		for id, offs := range t.byTmpl {
-			out[id] = len(offs)
+			out = append(out, segment.TemplateMeta{ID: id, Count: len(offs), Samples: offs[:min(len(offs), blockSamples)]})
 		}
-		return out
+		return out, false, nil
 	}
-	out := make(map[uint64]int)
+	at := make(map[uint64]int)
 	for i := range t.records {
-		if tr.Contains(t.records[i].Time) {
-			out[t.records[i].TemplateID]++
+		r := &t.records[i]
+		if !tr.Contains(r.Time) {
+			continue
+		}
+		j, ok := at[r.TemplateID]
+		if !ok {
+			j = len(out)
+			at[r.TemplateID] = j
+			out = append(out, segment.TemplateMeta{ID: r.TemplateID})
+		}
+		out[j].Count++
+		if len(out[j].Samples) < blockSamples {
+			out[j].Samples = append(out[j].Samples, r.Offset)
 		}
 	}
-	return out
+	return out, false, nil
 }
 
 // TemplateGroup aggregates one template's records for grouped queries:
@@ -366,66 +376,6 @@ type TemplateGroup struct {
 	// Samples holds up to the requested number of example record
 	// offsets, ascending.
 	Samples []int64
-}
-
-// GroupedCounts returns every template's record count plus up to
-// maxSamples example offsets for records in tr — straight from the
-// template index when the range covers the whole topic, via a linear
-// filter otherwise (the hot block is small; sealed history answers from
-// segment metadata instead).
-func (t *Topic) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	switch t.disposeLocked(tr) {
-	case rangeNone:
-		return map[uint64]TemplateGroup{}
-	case rangeAll:
-		out := make(map[uint64]TemplateGroup, len(t.byTmpl))
-		for id, offs := range t.byTmpl {
-			g := TemplateGroup{Count: len(offs)}
-			n := maxSamples
-			if n > len(offs) {
-				n = len(offs)
-			}
-			if n > 0 {
-				g.Samples = append([]int64(nil), offs[:n]...)
-			}
-			out[id] = g
-		}
-		return out
-	}
-	out := make(map[uint64]TemplateGroup)
-	for i := range t.records {
-		r := &t.records[i]
-		if !tr.Contains(r.Time) {
-			continue
-		}
-		g := out[r.TemplateID]
-		g.Count++
-		if len(g.Samples) < maxSamples {
-			g.Samples = append(g.Samples, r.Offset)
-		}
-		out[r.TemplateID] = g
-	}
-	return out
-}
-
-// SearchRange returns the offsets of records containing token (exact
-// whitespace-delimited match) whose timestamp lies in tr, ascending. It
-// is one linear pass over the records, testing each line with
-// segment.HasToken — the predicate sealed blocks use, so a record's hits
-// do not change when its block seals.
-func (t *Topic) SearchRange(token string, tr TimeRange) []int64 {
-	out := []int64{}
-	var scratch []string
-	t.Scan(0, -1, tr, func(r Record) bool {
-		var hit bool
-		if hit, scratch = segment.HasToken(scratch, r.Raw, token); hit {
-			out = append(out, r.Offset)
-		}
-		return true
-	})
-	return out
 }
 
 // ErrNoSnapshot is returned by LatestSnapshot on an empty internal topic.

@@ -35,19 +35,8 @@ func TestGetAndScan(t *testing.T) {
 	if _, err := getOne(tp, -1); err == nil {
 		t.Error("Get(-1) did not error")
 	}
-	var seen []string
-	tp.Scan(0, -1, TimeRange{}, func(r Record) bool {
-		seen = append(seen, r.Raw)
-		return true
-	})
-	if len(seen) != 2 {
-		t.Errorf("scan saw %d records", len(seen))
-	}
-	// Early stop.
-	n := 0
-	tp.Scan(0, -1, TimeRange{}, func(Record) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("scan did not stop early: %d", n)
+	if recs := allRecords(t, tp); len(recs) != 2 || recs[0].Raw != "alpha beta" {
+		t.Errorf("all records = %+v", recs)
 	}
 }
 
@@ -63,6 +52,10 @@ func TestByTemplateAndCounts(t *testing.T) {
 	both := tp.ByTemplateRange(TimeRange{}, 7, 9)
 	if len(both) != 3 {
 		t.Errorf("ByTemplate(7,9) = %v", both)
+	}
+	// A repeated ID names each record once.
+	if twice := tp.ByTemplateRange(TimeRange{}, 7, 7); len(twice) != 2 {
+		t.Errorf("ByTemplate(7,7) = %v", twice)
 	}
 	counts := tp.TemplateCounts(TimeRange{})
 	if counts[7] != 2 || counts[9] != 1 {
@@ -126,7 +119,7 @@ func TestCountSinceOutOfOrder(t *testing.T) {
 
 // TestCountSinceConcurrentIngest drives appends from several goroutines
 // whose timestamps deliberately interleave, then checks CountSince
-// against a full scan — under -race this also covers the watermark
+// against every record read back — under -race this also covers the watermark
 // bookkeeping.
 func TestCountSinceConcurrentIngest(t *testing.T) {
 	tp := NewStore("t")
@@ -143,14 +136,13 @@ func TestCountSinceConcurrentIngest(t *testing.T) {
 	wg.Wait()
 	cut := ts(2000)
 	want := 0
-	tp.Scan(0, -1, TimeRange{}, func(r Record) bool {
+	for _, r := range allRecords(t, tp) {
 		if !r.Time.Before(cut) {
 			want++
 		}
-		return true
-	})
+	}
 	if want != 500 {
-		t.Fatalf("setup: scan counted %d, want 500", want)
+		t.Fatalf("setup: counted %d, want 500", want)
 	}
 	if got := countSince(tp, cut); got != want {
 		t.Fatalf("CountSince = %d, want %d", got, want)
@@ -194,14 +186,11 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 		t.Errorf("Len = %d, want 800", tp.Len())
 	}
 	// Offsets dense and ordered.
-	last := int64(-1)
-	tp.Scan(0, -1, TimeRange{}, func(r Record) bool {
-		if r.Offset != last+1 {
-			t.Fatalf("offset gap: %d after %d", r.Offset, last)
+	for i, r := range allRecords(t, tp) {
+		if r.Offset != int64(i) {
+			t.Fatalf("record %d has offset %d", i, r.Offset)
 		}
-		last = r.Offset
-		return true
-	})
+	}
 }
 
 func TestInternalSnapshots(t *testing.T) {

@@ -89,12 +89,15 @@ type Metrics struct {
 	SealRetries    *obs.Counter   // failed seal attempts that were retried
 	DegradedEnters *obs.Counter   // transitions into degraded read-only mode
 
-	// Query pushdown: every sealed-block visit on a query path either
+	// Query pushdown, counted in one place — the read fan-out every
+	// CompactingStore query goes through: each sealed-block visit either
 	// decodes the payload (the segment's own BlockReads counter) or is
-	// answered from metadata alone — counted here.
+	// answered from metadata alone — counted here. GetBatch visits only
+	// the blocks that hold its offsets, and decodes each of them.
 	BlocksPruned *obs.Counter
 	// SegmentReadErrors counts sealed-block visits whose payload failed
-	// to decode. Query paths cannot return errors through the Store
+	// to decode. Queries cannot return errors through the Store
 	// interface: they skip the block, so a result may be partial.
+	// GetBatch fails instead.
 	SegmentReadErrors *obs.Counter
 }

@@ -46,9 +46,9 @@ func TestTimeRangeSemantics(t *testing.T) {
 }
 
 // TestTopicTimeRangeQueries checks the hot-topic filter path against the
-// index fast path: grouped counts, template counts and scans over a
-// bounded range must agree with a manual filter, including when
-// timestamps arrive out of order.
+// index fast path: grouped counts, template counts and a token search
+// matching every line over a bounded range must agree with a manual
+// filter, including when timestamps arrive out of order.
 func TestTopicTimeRangeQueries(t *testing.T) {
 	tp := NewStore("t")
 	// Out-of-order arrival: 0, 50, 1, 51, ... like two interleaved queues.
@@ -96,16 +96,14 @@ func TestTopicTimeRangeQueries(t *testing.T) {
 		if gotTotal != wantTotal {
 			t.Errorf("range %v: grouped total %d, want %d", r, gotTotal, wantTotal)
 		}
-		scanned := 0
-		tp.Scan(0, -1, r, func(rec Record) bool {
-			if !r.Contains(rec.Time) {
-				t.Fatalf("range %v: Scan leaked record at %v", r, rec.Time)
+		hits := tp.SearchRange("line", r)
+		for _, off := range hits {
+			if !r.Contains(ts(secs[off])) {
+				t.Fatalf("range %v: search leaked offset %d at ts(%d)", r, off, secs[off])
 			}
-			scanned++
-			return true
-		})
-		if scanned != wantTotal {
-			t.Errorf("range %v: Scan visited %d, want %d", r, scanned, wantTotal)
+		}
+		if len(hits) != wantTotal {
+			t.Errorf("range %v: search found %d, want %d", r, len(hits), wantTotal)
 		}
 	}
 }
@@ -200,16 +198,15 @@ func TestCompactingTimeRangePushdown(t *testing.T) {
 	if reads := s.SegmentStats().BlockReads - before; reads != 0 {
 		t.Fatalf("block-aligned TemplateCounts paid %d reads", reads)
 	}
-	// Scan prunes whole blocks by time bounds: a range inside block 7
-	// must decompress exactly one block.
+	// A search for a token every record holds prunes whole blocks by
+	// time bounds: a range inside block 7 must decompress exactly one
+	// block.
 	before = s.SegmentStats().BlockReads
-	seen := 0
-	s.Scan(0, -1, tr(710, 720), func(r Record) bool { seen++; return true })
-	if seen != 11 {
-		t.Fatalf("Scan(710..720) saw %d records, want 11", seen)
+	if seen := len(s.SearchRange("req", tr(710, 720))); seen != 11 {
+		t.Fatalf("SearchRange(req, 710..720) found %d records, want 11", seen)
 	}
 	if reads := s.SegmentStats().BlockReads - before; reads != 1 {
-		t.Fatalf("range Scan paid %d block reads, want 1", reads)
+		t.Fatalf("range search paid %d block reads, want 1", reads)
 	}
 }
 
@@ -243,101 +240,16 @@ func TestCountSinceBoundaries(t *testing.T) {
 		// one tick either side of each.
 		for _, cut := range []int{9, 10, 11, 108, 109, 110, 111, 148, 149, 150} {
 			want := 0
-			s.Scan(0, -1, TimeRange{}, func(r Record) bool {
+			for _, r := range allRecords(t, s) {
 				if !r.Time.Before(ts(cut)) {
 					want++
 				}
-				return true
-			})
+			}
 			if got := countSince(s, ts(cut)); got != want {
 				t.Errorf("CountSince(ts(%d)) = %d, want %d", cut, got, want)
 			}
 		}
 	})
-}
-
-// TestCompactingTimeRangeQueries checks grouped counts, their samples,
-// template counts and scans over ranges that span the sealed/hot
-// boundary, lie inside the hot block, or are empty and inverted.
-func TestCompactingTimeRangeQueries(t *testing.T) {
-	s, err := OpenCompacting("t", CompactConfig{SegmentBytes: 1 << 62, Codec: segment.CodecFlate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Seal the first 400 records, keep the last 100 hot.
-	type rec struct {
-		sec  int
-		tmpl uint64
-	}
-	var all []rec
-	for i := 0; i < 400; i++ {
-		r := rec{sec: i, tmpl: uint64(1 + i%5)}
-		all = append(all, r)
-		if _, err := appendOne(s, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	s.WaitIdle()
-	for i := 400; i < 500; i++ {
-		r := rec{sec: i, tmpl: uint64(1 + i%5)}
-		all = append(all, r)
-		if _, err := appendOne(s, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, r := range []TimeRange{tr(100, 250), tr(0, 499), tr(380, 420), tr(450, 460), tr(250, 100), tr(900, 999), {From: ts(490)}, {To: ts(9)}, {}} {
-		want := map[uint64]int{}
-		for _, rc := range all {
-			if r.Contains(ts(rc.sec)) {
-				want[rc.tmpl]++
-			}
-		}
-		groups := s.GroupedCounts(5, r)
-		if len(groups) != len(want) {
-			t.Errorf("range %v: %d groups, want %d", r, len(groups), len(want))
-		}
-		for id, cnt := range want {
-			if groups[id].Count != cnt {
-				t.Errorf("range %v: count[%d] = %d, want %d", r, id, groups[id].Count, cnt)
-			}
-			for _, off := range groups[id].Samples {
-				got, err := getOne(s, off)
-				if err != nil {
-					t.Fatalf("range %v: Get(sample %d): %v", r, off, err)
-				}
-				if !r.Contains(got.Time) || got.TemplateID != id {
-					t.Errorf("range %v: sample %d is %+v", r, off, got)
-				}
-			}
-		}
-		counts := s.TemplateCounts(r)
-		for id, cnt := range want {
-			if counts[id] != cnt {
-				t.Errorf("range %v: TemplateCounts[%d] = %d, want %d", r, id, counts[id], cnt)
-			}
-		}
-		scanned := 0
-		s.Scan(0, -1, r, func(rec Record) bool {
-			if !r.Contains(rec.Time) {
-				t.Fatalf("range %v: Scan leaked %v", r, rec.Time)
-			}
-			scanned++
-			return true
-		})
-		wantTotal := 0
-		for _, c := range want {
-			wantTotal += c
-		}
-		if scanned != wantTotal {
-			t.Errorf("range %v: Scan visited %d, want %d", r, scanned, wantTotal)
-		}
-	}
-
 }
 
 // TestCompactingTimeRangeStress races two writers ∥ time-range Query ∥
@@ -403,12 +315,11 @@ func TestCompactingTimeRangeStress(t *testing.T) {
 	// Post-stress: a bounded range still agrees with the linear truth.
 	r := tr(500, 1500)
 	want := 0
-	s.Scan(0, -1, TimeRange{}, func(rec Record) bool {
+	for _, rec := range allRecords(t, s) {
 		if r.Contains(rec.Time) {
 			want++
 		}
-		return true
-	})
+	}
 	got := 0
 	for _, g := range s.GroupedCounts(5, r) {
 		got += g.Count

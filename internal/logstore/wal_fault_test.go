@@ -289,7 +289,7 @@ func TestSealToleratesSealedTail(t *testing.T) {
 	// Simulate the failed-rotation aftermath: drop the fresh hot tail so
 	// the last block is the sealed one (hot == nil).
 	s.mu.Lock()
-	if last := s.blocks[len(s.blocks)-1]; last.hot == nil || last.hot.Len() != 0 {
+	if last := s.blocks[len(s.blocks)-1]; last.hot == nil || last.hot.Count() != 0 {
 		s.mu.Unlock()
 		t.Fatalf("setup: expected an empty hot tail")
 	}

@@ -23,7 +23,7 @@ func assertNoFalseNegatives(t testing.TB, recs []Record) {
 	}
 	for i, rec := range recs {
 		for _, tok := range Tokenize(rec.Raw) {
-			if !r.MayContainToken(tok) {
+			if !r.meta.bloom.mayContain(tok) {
 				t.Fatalf("record %d (%q): bloom screens out its token %q", i, rec.Raw, tok)
 			}
 		}
@@ -108,7 +108,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 				continue
 			}
 			absent++
-			if r.MayContainToken(tok) {
+			if r.meta.bloom.mayContain(tok) {
 				fp++
 			}
 		}
@@ -144,7 +144,7 @@ func TestBloomSizedByDistinctTokens(t *testing.T) {
 		t.Fatalf("bloom of 10,000 copies of one 5-token line is %d bytes, want ≤ 64", n)
 	}
 	for _, tok := range strings.Fields(line) {
-		if !r.MayContainToken(tok) {
+		if !r.meta.bloom.mayContain(tok) {
 			t.Fatalf("bloom screens out %q", tok)
 		}
 	}

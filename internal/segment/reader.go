@@ -214,12 +214,6 @@ func (r *Reader) MaxTime() time.Time { return time.Unix(0, r.maxTime) }
 // rules them out.
 func (r *Reader) BlockReads() int64 { return r.blockReads.Load() }
 
-// HasTemplate reports from metadata alone whether any record carries id.
-func (r *Reader) HasTemplate(id uint64) bool {
-	i := sort.Search(len(r.meta.tmplIDs), func(i int) bool { return r.meta.tmplIDs[i] >= id })
-	return i < len(r.meta.tmplIDs) && r.meta.tmplIDs[i] == id
-}
-
 // TemplateMeta is the metadata the segment stores for one template: its
 // record count, the first few record offsets as grouped-query samples,
 // and the time bounds of its records.
@@ -275,14 +269,6 @@ func rangeNanos(from, to time.Time) (lo, hi int64) {
 		hi = clampNanos(to)
 	}
 	return lo, hi
-}
-
-// OverlapsRange reports from metadata alone whether any record timestamp
-// can lie in [from, to] (inclusive; zero times are unbounded). False
-// means the whole block prunes away without decompression.
-func (r *Reader) OverlapsRange(from, to time.Time) bool {
-	lo, hi := rangeNanos(from, to)
-	return lo <= hi && r.maxTime >= lo && r.minTime <= hi
 }
 
 // TemplateMetasRangeInfo returns per-template metadata restricted to
@@ -367,27 +353,6 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, true, nil
-}
-
-// TemplateCountsRangeInfo returns per-template record counts restricted
-// to [from, to], with the pushdown behavior and decoded flag of
-// TemplateMetasRangeInfo.
-func (r *Reader) TemplateCountsRangeInfo(from, to time.Time) (map[uint64]int, bool, error) {
-	metas, decoded, err := r.TemplateMetasRangeInfo(from, to)
-	if err != nil {
-		return nil, decoded, err
-	}
-	out := make(map[uint64]int, len(metas))
-	for _, tm := range metas {
-		out[tm.ID] = tm.Count
-	}
-	return out, decoded, nil
-}
-
-// MayContainToken consults the bloom filter: false means no record's
-// whitespace-delimited tokens include token.
-func (r *Reader) MayContainToken(token string) bool {
-	return r.meta.bloom.mayContain(token)
 }
 
 // Records decodes and returns every record. Each call inflates the
@@ -513,21 +478,6 @@ func (r *Reader) Records() ([]Record, error) {
 	return out, nil
 }
 
-// Scan decodes the payload and visits records in order until fn returns
-// false.
-func (r *Reader) Scan(fn func(Record) bool) error {
-	recs, err := r.Records()
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if !fn(rec) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // SearchRangeInfo returns the topic offsets of records containing the
 // exact whitespace-delimited token with timestamps in [from, to]
 // (inclusive; zero times are unbounded). decoded false means the block
@@ -540,7 +490,8 @@ func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, boo
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
 		return nil, false, nil
 	}
-	if !r.MayContainToken(token) {
+	if !r.meta.bloom.mayContain(token) {
+		// The bloom filter rules the token out of every record.
 		return nil, false, nil
 	}
 	covered := r.minTime >= lo && r.maxTime <= hi

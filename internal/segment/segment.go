@@ -28,9 +28,9 @@ import (
 	"time"
 )
 
-// Record is one log record inside a segment. It mirrors the logstore
-// record shape without importing it, so the storage layer can depend on
-// this package.
+// Record is one log record inside a segment, and — as logstore.Record,
+// an alias — in the hot block before it seals, so sealing encodes the
+// hot records as they are.
 type Record struct {
 	// Offset is the topic-global offset of the record.
 	Offset int64

@@ -161,12 +161,13 @@ func TestTemplatePushdown(t *testing.T) {
 	if r.BlockReads() != reads+1 {
 		t.Fatalf("present template: %d reads, want %d", r.BlockReads(), reads+1)
 	}
-	if !r.HasTemplate(102) || r.HasTemplate(7) {
-		t.Fatal("HasTemplate metadata wrong")
+	// Per-template counts come from metadata alone.
+	counts := map[uint64]int{}
+	for _, tm := range allMetas(t, r) {
+		counts[tm.ID] = tm.Count
 	}
-	counts, decoded, err := r.TemplateCountsRangeInfo(time.Time{}, time.Time{})
-	if err != nil || decoded || counts[101] != 100 || counts[102] != 100 || counts[103] != 100 {
-		t.Fatalf("TemplateCountsRangeInfo = %v, decoded=%v, %v", counts, decoded, err)
+	if len(counts) != 3 || counts[101] != 100 || counts[102] != 100 || counts[103] != 100 {
+		t.Fatalf("template counts = %v, want 100 each of 101..103", counts)
 	}
 }
 
@@ -195,13 +196,13 @@ func TestTokenSearchBloom(t *testing.T) {
 // store does: per-template counts over the open-ended range from cut.
 func countSince(t *testing.T, r *Reader, cut time.Time) int {
 	t.Helper()
-	counts, _, err := r.TemplateCountsRangeInfo(cut, time.Time{})
+	metas, _, err := r.TemplateMetasRangeInfo(cut, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, c := range counts {
-		n += c
+	for _, tm := range metas {
+		n += tm.Count
 	}
 	return n
 }
@@ -398,13 +399,13 @@ func TestTemplateMetaSamples(t *testing.T) {
 	if len(metas) != len(want) {
 		t.Fatalf("TemplateMetasRangeInfo returned %d entries, want %d", len(metas), len(want))
 	}
-	counts, _, err := r.TemplateCountsRangeInfo(time.Time{}, time.Time{})
-	if err != nil {
-		t.Fatal(err)
+	counts := map[uint64]int{}
+	for _, rec := range recs {
+		counts[rec.TemplateID]++
 	}
 	for _, tm := range metas {
 		if tm.Count != counts[tm.ID] {
-			t.Errorf("template %d count %d != TemplateCountsRangeInfo %d", tm.ID, tm.Count, counts[tm.ID])
+			t.Errorf("template %d count %d, want %d", tm.ID, tm.Count, counts[tm.ID])
 		}
 		if fmt.Sprint(tm.Samples) != fmt.Sprint(want[tm.ID]) {
 			t.Errorf("template %d samples %v, want %v", tm.ID, tm.Samples, want[tm.ID])
@@ -465,8 +466,8 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	if metas, err := metasRange(ts(1000), ts(2000)); err != nil || metas != nil {
 		t.Fatalf("disjoint range = %v, %v", metas, err)
 	}
-	if !r.OverlapsRange(ts(0), ts(99)) || r.OverlapsRange(ts(100), ts(200)) {
-		t.Fatal("OverlapsRange metadata answers wrong")
+	if offs, decoded, err := r.ByTemplateRangeInfo(ts(100), ts(200), 1, 2); err != nil || decoded || offs != nil {
+		t.Fatalf("disjoint ByTemplateRangeInfo = %v, decoded=%v, %v", offs, decoded, err)
 	}
 	// Covering range: metadata-only, full answer.
 	metas, err := metasRange(ts(0), ts(99))
@@ -516,8 +517,8 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	if metas, err := metasRange(y3000, time.Time{}); err != nil || metas != nil {
 		t.Fatalf("far-future from = %v, %v, want nothing", metas, err)
 	}
-	if r.OverlapsRange(y3000, time.Time{}) {
-		t.Fatal("OverlapsRange(year 3000, ∞) = true")
+	if offs, decoded, err := r.ByTemplateRangeInfo(y3000, time.Time{}, 1, 2); err != nil || decoded || offs != nil {
+		t.Fatalf("far-future ByTemplateRangeInfo = %v, decoded=%v, %v", offs, decoded, err)
 	}
 	if metas, _ := metasRange(y1000, time.Time{}); len(metas) != 2 {
 		t.Fatalf("far-past from = %+v, want both templates", metas)
@@ -551,7 +552,7 @@ func TestSearchTokenizationRoundTrip(t *testing.T) {
 	r := roundTrip(t, recs, CodecFlate)
 	for i, raw := range raws {
 		for _, tok := range Tokenize(raw) {
-			if !r.MayContainToken(tok) {
+			if !r.meta.bloom.mayContain(tok) {
 				t.Fatalf("bloom misses token %q of stored line %q", tok, raw)
 			}
 			offs, _, err := r.SearchRangeInfo(tok, time.Time{}, time.Time{})
