@@ -781,10 +781,9 @@ func (s *CompactingStore) sealOne() (attempted bool, _ error) {
 
 	// The block no longer receives appends; encode its records in place,
 	// without the store lock, so queries and hot writes continue during
-	// compression. A hot block's Records never fails.
-	recs, _ := b.hot.Records()
+	// compression.
 	start := time.Now()
-	reader, err := s.sealRecords(b, recs)
+	reader, err := s.sealRecords(b, b.hot.all())
 	s.m.SealSeconds.ObserveDuration(time.Since(start))
 
 	s.mu.Lock()
@@ -925,7 +924,7 @@ type block interface {
 	FirstOffset() int64
 	Count() int
 	RawBytes() int64
-	Records() ([]Record, error)
+	RecordsAt(offsets []int64) ([]Record, error)
 	SearchRangeInfo(token string, from, to time.Time) ([]int64, bool, error)
 	ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64, bool, error)
 	TemplateMetasRangeInfo(from, to time.Time) ([]segment.TemplateMeta, bool, error)
@@ -1000,7 +999,8 @@ func (s *CompactingStore) Bytes() int64 {
 // GetBatch implements Store. Offsets are grouped per block first and only
 // the blocks they touch are asked, so a sealed block touched by many
 // offsets pays exactly one payload decompression instead of one per
-// offset — the win the query sample-fetch path exists for.
+// offset — the win the query sample-fetch path exists for — and builds
+// only the lines asked for.
 func (s *CompactingStore) GetBatch(offsets []int64) ([]Record, error) {
 	if len(offsets) == 0 {
 		return nil, nil
@@ -1022,12 +1022,17 @@ func (s *CompactingStore) GetBatch(offsets []int64) ([]Record, error) {
 	}
 	out := make([]Record, len(offsets))
 	err := s.fanOut(touched, func(b block) (bool, error) {
-		recs, err := b.Records()
+		positions := groups[b]
+		offs := make([]int64, len(positions))
+		for i, pos := range positions {
+			offs[i] = offsets[pos]
+		}
+		recs, err := b.RecordsAt(offs)
 		if err != nil {
 			return true, err
 		}
-		for _, pos := range groups[b] {
-			out[pos] = recs[offsets[pos]-b.FirstOffset()]
+		for i, pos := range positions {
+			out[pos] = recs[i]
 		}
 		return true, nil
 	})

@@ -14,8 +14,9 @@ import (
 )
 
 // hotScanLines exercise what a token scan and a tokenizer can disagree
-// on: tabs and runs of spaces, Unicode whitespace (NBSP, ideographic
-// space, NEL), tokens that are substrings of longer tokens, and repeats.
+// on: tabs and runs of spaces (also leading and trailing), Unicode
+// whitespace (NBSP, ideographic space, NEL) inside a space-separated
+// column, tokens that are substrings of longer tokens, and repeats.
 var hotScanLines = []string{
 	"error on disk sda",
 	"ok on disk sdb",
@@ -27,6 +28,12 @@ var hotScanLines = []string{
 	"Receiving block blk_-99 src: /10.0.0.1:50010",
 	"error error error",
 	"sda",
+	"a\tb c\td",
+	"a\tb",
+	"   three   spaced   words   ",
+	"\ttab lead\t and\t\ttail\t",
+	"id=7　ok　 　end",
+	"　ideo　 lead",
 }
 
 // TestSearchHotMatchesSealed pins that a record's search hits do not
@@ -35,7 +42,7 @@ var hotScanLines = []string{
 // only substrings, identically under the zero, a covering and a
 // straddling time range.
 func TestSearchHotMatchesSealed(t *testing.T) {
-	tokens := []string{"absent", "", "rror", "blk_", "a b", "on disk", "p　q"}
+	tokens := []string{"absent", "", "rror", "blk_", "a b", "on disk", "p　q", "a\tb", "\t", "　", "id=7　ok", "  "}
 	for _, line := range hotScanLines {
 		tokens = append(tokens, segment.Tokenize(line)...)
 	}
@@ -62,6 +69,9 @@ func TestSearchHotMatchesSealed(t *testing.T) {
 		}
 		if got := hot["zero/error"]; len(got) != 9 {
 			t.Fatalf("dir=%q: hot Search(error) = %v, want 9 offsets", dir, got)
+		}
+		if got := hot["zero/a\tb"]; len(got) != 0 {
+			t.Fatalf("dir=%q: hot Search(a\\tb) = %v; a token never holds whitespace", dir, got)
 		}
 		if err := s.Seal(); err != nil {
 			t.Fatal(err)

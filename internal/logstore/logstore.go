@@ -9,6 +9,7 @@ package logstore
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -228,13 +229,28 @@ func (t *topic) RawBytes() int64 {
 	return t.bytes
 }
 
-// Records returns every record, in offset order, without copying:
-// records are append-only and never rewritten, so the slice stays valid
-// while appends continue. It never fails.
-func (t *topic) Records() ([]Record, error) {
+// all returns every record, in offset order, without copying: records
+// are append-only and never rewritten, so the slice stays valid while
+// appends continue.
+func (t *topic) all() []Record {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.records, nil
+	return t.records
+}
+
+// RecordsAt returns the records at offsets, in the order asked; every
+// offset must lie in the topic.
+func (t *topic) RecordsAt(offsets []int64) ([]Record, error) {
+	recs := t.all()
+	out := make([]Record, len(offsets))
+	for i, off := range offsets {
+		j := off - t.first
+		if j < 0 || j >= int64(len(recs)) {
+			return nil, fmt.Errorf("logstore: offset %d outside hot block [%d,%d)", off, t.first, t.first+int64(len(recs)))
+		}
+		out[i] = recs[j]
+	}
+	return out, nil
 }
 
 // rangeDisposition classifies a time range against the topic's

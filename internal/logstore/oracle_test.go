@@ -163,9 +163,25 @@ func sealedBounds(s *CompactingStore) [][2]time.Time {
 	defer s.mu.Unlock()
 	var out [][2]time.Time
 	for _, b := range s.blocks {
-		if b.seg != nil {
-			out = append(out, [2]time.Time{b.seg.MinTime(), b.seg.MaxTime()})
+		if b.seg == nil {
+			continue
 		}
+		// Over the zero range a sealed block returns its metadata as
+		// sealed, and every record belongs to one of its templates.
+		metas, _, err := b.seg.TemplateMetasRangeInfo(time.Time{}, time.Time{})
+		if err != nil || len(metas) == 0 {
+			continue
+		}
+		lo, hi := metas[0].MinTime, metas[0].MaxTime
+		for _, m := range metas[1:] {
+			if m.MinTime.Before(lo) {
+				lo = m.MinTime
+			}
+			if m.MaxTime.After(hi) {
+				hi = m.MaxTime
+			}
+		}
+		out = append(out, [2]time.Time{lo, hi})
 	}
 	return out
 }

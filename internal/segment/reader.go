@@ -1,10 +1,14 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -14,11 +18,14 @@ import (
 // Open; the compressed payload is only inflated when a query actually
 // needs record contents, and BlockReads counts how often that happened —
 // tests assert template pushdown by checking the counter stays at zero
-// for non-matching segments.
+// for non-matching segments. A query that inflates walks the record
+// tuples (see walk.go): search, by-template and straddled grouped counts
+// build no line, and Records and RecordsAt build only the lines they
+// return.
 //
 // A Reader is immutable after Open and safe for concurrent use; payload
-// decodes are stateless (no cache), so memory stays bounded by the
-// compressed size between queries.
+// decodes keep no inflated payload between queries, so memory stays
+// bounded by the compressed size.
 type Reader struct {
 	data    []byte // full segment blob
 	codec   Codec
@@ -202,13 +209,6 @@ func (r *Reader) RawBytes() int64 { return r.raw }
 // EncodedBytes returns the full encoded segment size.
 func (r *Reader) EncodedBytes() int64 { return int64(len(r.data)) }
 
-// Codec returns the payload codec.
-func (r *Reader) Codec() Codec { return r.codec }
-
-// MinTime and MaxTime bound the record timestamps.
-func (r *Reader) MinTime() time.Time { return time.Unix(0, r.minTime) }
-func (r *Reader) MaxTime() time.Time { return time.Unix(0, r.maxTime) }
-
 // BlockReads returns how many times the payload has been decompressed.
 // Pushdown-aware queries keep this at zero on segments whose metadata
 // rules them out.
@@ -296,8 +296,14 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 		}
 		return out, false, nil
 	}
+	// agg accumulates one straddling template's in-range records.
+	type agg struct {
+		n          int
+		samples    []int64
+		minT, maxT int64
+	}
 	out := make([]TemplateMeta, 0, len(r.meta.tmplIDs))
-	straddling := make(map[uint64]*TemplateMeta)
+	straddling := make(map[uint64]*agg)
 	for i, id := range r.meta.tmplIDs {
 		tMin, tMax := r.meta.tmplMinT[i], r.meta.tmplMaxT[i]
 		if tMax < lo || tMin > hi {
@@ -307,48 +313,44 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 			out = append(out, r.templateMeta(i))
 			continue
 		}
-		straddling[id] = nil
+		straddling[id] = &agg{}
 	}
 	if len(straddling) == 0 {
 		return out, false, nil
 	}
-	// Straddling templates need exact in-range counts: one payload decode
-	// covers them all.
-	recs, err := r.Records()
+	// Straddling templates need exact in-range counts: one walk covers
+	// them all.
+	p, err := r.inflate()
 	if err != nil {
 		return nil, true, err
 	}
-	for _, rec := range recs {
-		tm, ok := straddling[rec.TemplateID]
-		if !ok {
-			continue
-		}
-		ns := rec.Time.UnixNano()
-		if ns < lo || ns > hi {
-			continue
-		}
-		if tm == nil {
-			tm = &TemplateMeta{
-				ID:      rec.TemplateID,
-				MinTime: rec.Time,
-				MaxTime: rec.Time,
-			}
-			straddling[rec.TemplateID] = tm
-		}
-		tm.Count++
-		if len(tm.Samples) < maxMetaSamples {
-			tm.Samples = append(tm.Samples, rec.Offset)
-		}
-		if rec.Time.Before(tm.MinTime) {
-			tm.MinTime = rec.Time
-		}
-		if rec.Time.After(tm.MaxTime) {
-			tm.MaxTime = rec.Time
-		}
+	slot := make([]*agg, len(p.entries))
+	for ei := range p.entries {
+		slot[ei] = straddling[p.entries[ei].tmpl]
 	}
-	for _, tm := range straddling {
-		if tm != nil && tm.Count > 0 {
-			out = append(out, *tm)
+	err = p.walk(func(i, ei int) {
+		a := slot[ei]
+		if a == nil || p.t < lo || p.t > hi {
+			return
+		}
+		if a.n == 0 {
+			a.minT, a.maxT = p.t, p.t
+		}
+		a.n++
+		if len(a.samples) < maxMetaSamples {
+			a.samples = append(a.samples, r.first+int64(i))
+		}
+		a.minT, a.maxT = min(a.minT, p.t), max(a.maxT, p.t)
+	})
+	if err != nil {
+		return nil, true, err
+	}
+	for id, a := range straddling {
+		if a.n > 0 {
+			out = append(out, TemplateMeta{
+				ID: id, Count: a.n, Samples: a.samples,
+				MinTime: time.Unix(0, a.minT), MaxTime: time.Unix(0, a.maxT),
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -357,123 +359,76 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 
 // Records decodes and returns every record. Each call inflates the
 // payload (counted in BlockReads); callers that can push their predicate
-// into metadata should do so first.
+// into metadata should do so first. The lines share one backing string,
+// built in one pass over the record tuples.
 func (r *Reader) Records() ([]Record, error) {
-	r.blockReads.Add(1)
-	payload, err := r.codec.decompress(r.payload, r.payLen)
+	p, err := r.inflate()
 	if err != nil {
 		return nil, err
 	}
-	c := &cursor{buf: payload}
+	out := make([]Record, r.count)
+	ends := make([]int, r.count)
+	var lines strings.Builder
+	// RawBytes is the lines' total length; the cap keeps a corrupt header
+	// from forcing a huge allocation before the walk can fail.
+	lines.Grow(int(max(0, min(r.raw, int64(len(p.buf))*64))))
+	err = p.walk(func(i, ei int) {
+		e := &p.entries[ei]
+		p.writeLine(&lines, e)
+		ends[i] = lines.Len()
+		out[i] = Record{Offset: r.first + int64(i), Time: time.Unix(0, p.t), TemplateID: e.tmpl}
+	})
+	if err != nil {
+		return nil, err
+	}
+	all, lo := lines.String(), 0
+	for i, hi := range ends {
+		out[i].Raw, lo = all[lo:hi], hi
+	}
+	return out, nil
+}
 
-	nTokens, err := c.count(1)
+// RecordsAt returns the records at offsets, in the order asked; every
+// offset must lie in the block. Like Records it inflates and walks the
+// whole payload once, but it builds only the lines asked for.
+func (r *Reader) RecordsAt(offsets []int64) ([]Record, error) {
+	for _, off := range offsets {
+		if off < r.first || off >= r.first+int64(r.count) {
+			return nil, fmt.Errorf("segment: offset %d outside block [%d,%d)", off, r.first, r.first+int64(r.count))
+		}
+	}
+	p, err := r.inflate()
 	if err != nil {
 		return nil, err
 	}
-	tokens := make([]string, nTokens)
-	for i := range tokens {
-		if tokens[i], err = c.str(); err != nil {
-			return nil, err
+	order := make([]int, len(offsets)) // positions in offsets, by offset
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
+	out := make([]Record, len(offsets))
+	spans := make([][2]int, len(offsets)) // each line's bounds in lines
+	var lines strings.Builder
+	k := 0
+	err = p.walk(func(i, ei int) {
+		off := r.first + int64(i)
+		if k == len(order) || offsets[order[k]] != off {
+			return
 		}
-	}
-
-	type entry struct {
-		tmpl    uint64
-		cols    int
-		literal []bool
-		litToks []string
-	}
-	nEntries, err := c.count(2)
+		e := &p.entries[ei]
+		lo := lines.Len()
+		p.writeLine(&lines, e)
+		for ; k < len(order) && offsets[order[k]] == off; k++ {
+			out[order[k]] = Record{Offset: off, Time: time.Unix(0, p.t), TemplateID: e.tmpl}
+			spans[order[k]] = [2]int{lo, lines.Len()}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]entry, nEntries)
-	for i := range entries {
-		e := &entries[i]
-		if e.tmpl, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-		nc, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nc == 0 || nc > uint64(c.remaining())*8+8 {
-			return nil, corruptf("entry with %d columns", nc)
-		}
-		e.cols = int(nc)
-		mask, err := c.bytes((e.cols + 7) / 8)
-		if err != nil {
-			return nil, err
-		}
-		e.literal = make([]bool, e.cols)
-		for ci := 0; ci < e.cols; ci++ {
-			e.literal[ci] = mask[ci/8]&(1<<(ci%8)) != 0
-		}
-		for ci := 0; ci < e.cols; ci++ {
-			if !e.literal[ci] {
-				continue
-			}
-			id, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if id >= uint64(len(tokens)) {
-				return nil, corruptf("literal token ID %d of %d", id, len(tokens))
-			}
-			e.litToks = append(e.litToks, tokens[id])
-		}
-	}
-
-	nRecs, err := c.count(2)
-	if err != nil {
-		return nil, err
-	}
-	if nRecs != r.count {
-		return nil, corruptf("payload has %d records, header says %d", nRecs, r.count)
-	}
-	out := make([]Record, nRecs)
-	prev := r.base
-	cols := make([]string, 0, 64)
-	for i := range out {
-		ei, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ei >= uint64(len(entries)) {
-			return nil, corruptf("record entry %d of %d", ei, len(entries))
-		}
-		e := &entries[ei]
-		delta, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		prev += delta
-		cols = cols[:0]
-		lit := 0
-		for ci := 0; ci < e.cols; ci++ {
-			if e.literal[ci] {
-				cols = append(cols, e.litToks[lit])
-				lit++
-				continue
-			}
-			id, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if id >= uint64(len(tokens)) {
-				return nil, corruptf("variable token ID %d of %d", id, len(tokens))
-			}
-			cols = append(cols, tokens[id])
-		}
-		out[i] = Record{
-			Offset:     r.first + int64(i),
-			Time:       time.Unix(0, prev),
-			Raw:        joinColumns(cols),
-			TemplateID: e.tmpl,
-		}
-	}
-	if c.remaining() != 0 {
-		return nil, corruptf("%d trailing payload bytes", c.remaining())
+	all := lines.String()
+	for pos, sp := range spans {
+		out[pos].Raw = all[sp[0]:sp[1]]
 	}
 	return out, nil
 }
@@ -483,8 +438,10 @@ func (r *Reader) Records() ([]Record, error) {
 // (inclusive; zero times are unbounded). decoded false means the block
 // pruned away on metadata alone — its time bounds fall outside the
 // range, or the bloom filter rules the token out — and the payload was
-// never decompressed. Unlike the grouped-counts pushdown, a surviving
-// block always decodes: token matching needs the raw lines.
+// never decompressed. A surviving block inflates once and builds no
+// line: the token is resolved against the token table (see tokenHits),
+// a dictionary entry with a hitting literal matches all of its records,
+// and any other record matches on one of its variable token IDs.
 func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, bool, error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
@@ -495,22 +452,35 @@ func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, boo
 		return nil, false, nil
 	}
 	covered := r.minTime >= lo && r.maxTime <= hi
-	recs, err := r.Records()
+	p, err := r.inflate()
 	if err != nil {
 		return nil, true, err
 	}
-	var out []int64
-	var scratch []string
-	for _, rec := range recs {
-		if !covered {
-			if ns := rec.Time.UnixNano(); ns < lo || ns > hi {
-				continue
+	hit := p.tokenHits(token)
+	var entryHit []bool
+	if hit != nil {
+		entryHit = make([]bool, len(p.entries))
+		for ei := range p.entries {
+			for _, id := range p.entries[ei].lits {
+				entryHit[ei] = entryHit[ei] || hit[id]
 			}
 		}
-		var hit bool
-		if hit, scratch = HasToken(scratch, rec.Raw, token); hit {
-			out = append(out, rec.Offset)
+	}
+	var out []int64
+	err = p.walk(func(i, ei int) {
+		if hit == nil || !covered && (p.t < lo || p.t > hi) {
+			return
 		}
+		match := entryHit[ei]
+		for _, id := range p.vars {
+			match = match || hit[id]
+		}
+		if match {
+			out = append(out, r.first+int64(i))
+		}
+	})
+	if err != nil {
+		return nil, true, err
 	}
 	return out, true, nil
 }
@@ -519,7 +489,8 @@ func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, boo
 // is any of ids with timestamps in [from, to] (inclusive; zero times are
 // unbounded). decoded false means metadata alone pruned the block — time
 // bounds outside the range, no queried template present, or every
-// queried template's own time bounds miss the range entirely.
+// queried template's own time bounds miss the range entirely. A
+// surviving block inflates once and builds no line.
 func (r *Reader) ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64, bool, error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
@@ -529,32 +500,33 @@ func (r *Reader) ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64
 	for _, id := range ids {
 		want[id] = true
 	}
-	overlap := false
+	overlap, hits := false, 0
 	for i, id := range r.meta.tmplIDs {
-		if want[id] && r.meta.tmplMaxT[i] >= lo && r.meta.tmplMinT[i] <= hi {
-			overlap = true
-			break
+		if want[id] {
+			hits += r.meta.tmplCounts[i]
+			overlap = overlap || r.meta.tmplMaxT[i] >= lo && r.meta.tmplMinT[i] <= hi
 		}
 	}
 	if !overlap {
 		return nil, false, nil
 	}
 	covered := r.minTime >= lo && r.maxTime <= hi
-	recs, err := r.Records()
+	p, err := r.inflate()
 	if err != nil {
 		return nil, true, err
 	}
-	var out []int64
-	for _, rec := range recs {
-		if !want[rec.TemplateID] {
-			continue
+	match := make([]bool, len(p.entries))
+	for ei := range p.entries {
+		match[ei] = want[p.entries[ei].tmpl]
+	}
+	out := make([]int64, 0, hits)
+	err = p.walk(func(i, ei int) {
+		if match[ei] && (covered || p.t >= lo && p.t <= hi) {
+			out = append(out, r.first+int64(i))
 		}
-		if !covered {
-			if ns := rec.Time.UnixNano(); ns < lo || ns > hi {
-				continue
-			}
-		}
-		out = append(out, rec.Offset)
+	})
+	if err != nil {
+		return nil, true, err
 	}
 	return out, true, nil
 }

@@ -69,15 +69,16 @@ const (
 
 // Tokenize is the single search tokenization of the segment layer: the
 // whitespace-delimited tokens of a raw line. The bloom filter built at
-// seal time and HasToken — the per-line predicate of sealed and hot
-// token search — both tokenize this way; a divergence between the write
-// and read sides would produce silent false negatives (the bloom filter
-// would screen out blocks that do contain the token under the other
-// tokenization).
+// seal time, HasToken — the per-line predicate of hot token search — and
+// hasField — its per-column form in sealed search — all tokenize this
+// way; a divergence between the write and read sides would produce
+// silent false negatives (the bloom filter would screen out blocks that
+// do contain the token under the other tokenization).
 func Tokenize(raw string) []string { return strings.Fields(raw) }
 
 // HasToken reports whether token is one of Tokenize(raw), the one
-// definition of a search hit that hot and sealed blocks share. A line
+// definition of a search hit: hot blocks test it per line, and sealed
+// blocks test the equivalent hasField per token-table entry. A line
 // that does not contain token as a substring is rejected without
 // tokenizing; the rest are tokenized into scratch, which is returned
 // for reuse so a scan over many lines allocates one buffer.
@@ -134,9 +135,6 @@ func asciiSpace(c byte) bool {
 	}
 	return false
 }
-
-// joinColumns inverts the encoder's column split (encoder.split).
-func joinColumns(cols []string) string { return strings.Join(cols, " ") }
 
 // Stats summarizes one encoded segment.
 type Stats struct {

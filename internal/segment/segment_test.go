@@ -229,16 +229,16 @@ func TestCountSincePushdown(t *testing.T) {
 	// path (every record has Time >= MinTime), and cut == MaxTime must
 	// NOT take the all-out fast path — the record at MaxTime itself
 	// still counts. Both must agree with the linear scan.
-	if n := countSince(t, r, r.MinTime()); n != 100 {
+	if n := countSince(t, r, time.Unix(0, r.minTime)); n != 100 {
 		t.Fatalf("CountSince(MinTime) = %d, want 100", n)
 	}
-	if n := countSince(t, r, r.MaxTime()); n != 1 {
+	if n := countSince(t, r, time.Unix(0, r.maxTime)); n != 1 {
 		t.Fatalf("CountSince(MaxTime) = %d, want 1", n)
 	}
-	if n := countSince(t, r, r.MaxTime().Add(time.Nanosecond)); n != 0 {
+	if n := countSince(t, r, time.Unix(0, r.maxTime).Add(time.Nanosecond)); n != 0 {
 		t.Fatalf("CountSince(MaxTime+1ns) = %d, want 0", n)
 	}
-	if n := countSince(t, r, r.MinTime().Add(-time.Nanosecond)); n != 100 {
+	if n := countSince(t, r, time.Unix(0, r.minTime).Add(-time.Nanosecond)); n != 100 {
 		t.Fatalf("CountSince(MinTime-1ns) = %d, want 100", n)
 	}
 }
@@ -259,8 +259,8 @@ func TestOutOfOrderTimesWithinBlock(t *testing.T) {
 		}
 	}
 	r := roundTrip(t, recs, CodecFlate)
-	if !r.MinTime().Equal(ts(0)) || !r.MaxTime().Equal(ts(99)) {
-		t.Fatalf("time bounds = [%v, %v], want [ts(0), ts(99)]", r.MinTime(), r.MaxTime())
+	if !time.Unix(0, r.minTime).Equal(ts(0)) || !time.Unix(0, r.maxTime).Equal(ts(99)) {
+		t.Fatalf("time bounds = [%v, %v], want [ts(0), ts(99)]", time.Unix(0, r.minTime), time.Unix(0, r.maxTime))
 	}
 	got, err := r.Records()
 	if err != nil {

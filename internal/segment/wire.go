@@ -27,6 +27,11 @@ type cursor struct {
 func (c *cursor) remaining() int { return len(c.buf) - c.pos }
 
 func (c *cursor) uvarint() (uint64, error) {
+	if c.pos < len(c.buf) && c.buf[c.pos] < 0x80 {
+		// Most IDs and lengths fit one byte.
+		c.pos++
+		return uint64(c.buf[c.pos-1]), nil
+	}
 	v, n := binary.Uvarint(c.buf[c.pos:])
 	if n <= 0 {
 		return 0, corruptf("bad uvarint at %d", c.pos)
@@ -69,20 +74,4 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	b := c.buf[c.pos : c.pos+n]
 	c.pos += n
 	return b, nil
-}
-
-// str reads a uvarint length followed by that many bytes as a string.
-func (c *cursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(c.remaining()) {
-		return "", corruptf("string length %d exceeds remaining %d", n, c.remaining())
-	}
-	b, err := c.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
