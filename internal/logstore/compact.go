@@ -325,7 +325,7 @@ func (s *CompactingStore) recover() error {
 		// WAL-only block: replay it into a hot topic. Recovered blocks
 		// re-queue for sealing, except that the newest one may resume
 		// as the live hot block (see below).
-		hot := newTopic(next)
+		hot := newTopic(next, 0)
 		if err := replayWAL(s.fs, walIdx[i], hot, s.m); err != nil {
 			return err
 		}
@@ -356,15 +356,17 @@ func (s *CompactingStore) recover() error {
 	return nil
 }
 
-// startHotLocked appends a fresh hot block (with WAL when persistent).
+// startHotLocked appends a fresh hot block (with WAL when persistent),
+// its record slice sized for as many records as the previous block
+// holds, so a block of a steady stream fills without regrowing.
 func (s *CompactingStore) startHotLocked() error {
-	idx, first := 0, int64(0)
+	idx, first, capacity := 0, int64(0), 0
 	if n := len(s.blocks); n > 0 {
-		last := s.blocks[n-1]
-		idx = last.idx + 1
-		first = end(last.view())
+		last := s.blocks[n-1].view()
+		idx = s.blocks[n-1].idx + 1
+		first, capacity = end(last), last.Count()
 	}
-	b := &compactBlock{idx: idx, hot: newTopic(first)}
+	b := &compactBlock{idx: idx, hot: newTopic(first, capacity)}
 	if s.cfg.Dir != "" {
 		path := filepath.Join(s.cfg.Dir, fmt.Sprintf("%s%06d%s", walPrefix, idx, walSuffix))
 		w, err := openWAL(s.fs, path, s.m)
@@ -406,9 +408,7 @@ func (s *CompactingStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.closed && !s.degraded && s.sealBacklogLocked() {
-		s.sealed.Wait()
-	}
+	s.waitSealBacklogLocked()
 	if s.closed {
 		return 0, errors.New("logstore: compacting store closed")
 	}
@@ -512,6 +512,22 @@ func (s *CompactingStore) poisonRotateLocked(b *compactBlock) {
 			s.blocks = append(s.blocks[:i:i], s.blocks[i+1:]...)
 			break
 		}
+	}
+}
+
+// waitSealBacklogLocked waits while the seal backlog is full and the
+// store can still take appends, and counts the wait and its length.
+func (s *CompactingStore) waitSealBacklogLocked() {
+	var start time.Time
+	for !s.closed && !s.degraded && s.sealBacklogLocked() {
+		if start.IsZero() {
+			start = time.Now()
+		}
+		s.sealed.Wait()
+	}
+	if !start.IsZero() {
+		s.m.SealWaits.Inc()
+		s.m.SealWaitSeconds.ObserveDuration(time.Since(start))
 	}
 }
 

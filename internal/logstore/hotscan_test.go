@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bytebrain/internal/fsx"
+	"bytebrain/internal/obs"
 	"bytebrain/internal/segment"
 )
 
@@ -127,7 +128,7 @@ func (g *gateFS) release() { g.once.Do(func() { close(g.open) }) }
 // before the scan ends, so a token search over a whole hot block never
 // stalls writers. The scan sees the records present when it started.
 func TestTopicScanHoldsNoLock(t *testing.T) {
-	tp := newTopic(10)
+	tp := newTopic(10, 0)
 	tp.appendBatch(ts(1), []BatchRecord{{Raw: "a b"}, {Raw: "c d"}})
 	var seen []int64
 	tp.scan(TimeRange{}, func(r Record) {
@@ -155,13 +156,20 @@ func TestTopicScanHoldsNoLock(t *testing.T) {
 // TestSealQueueBounded pins the seal-queue bound: with maxQueuedSeals
 // full blocks waiting for a held sealer, the next AppendBatch waits, and
 // it is released by a seal landing, by Close, by degraded mode, and by a
-// failed seal whose block waits out its retry backoff.
+// failed seal whose block waits out its retry backoff. Each wait counts
+// once in SealWaits and SealWaitSeconds; an append that does not wait
+// counts nothing and allocates nothing for it.
 func TestSealQueueBounded(t *testing.T) {
 	full := []BatchRecord{{Raw: "fill " + strings.Repeat("x", 300), TemplateID: 1}}
 	open := func(t *testing.T) (*CompactingStore, *gateFS) {
 		g := &gateFS{FS: fsx.NewFaultFS(), gate: make(chan error), open: make(chan struct{})}
+		reg := obs.NewRegistry()
+		m := &Metrics{
+			SealWaits:       reg.Counter("seal_waits_total", "t").With(),
+			SealWaitSeconds: reg.Histogram("seal_wait_seconds", "t", obs.LatencyBuckets).With(),
+		}
 		s, err := OpenCompacting("t", CompactConfig{Dir: "/data", SegmentBytes: 256, Opts: StoreOptions{
-			FS: g, SealRetryBase: time.Hour, SealRetryMax: time.Hour,
+			FS: g, SealRetryBase: time.Hour, SealRetryMax: time.Hour, Metrics: m,
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -170,6 +178,15 @@ func TestSealQueueBounded(t *testing.T) {
 			g.release()
 			s.Close()
 		})
+		// With nothing queued, the bound check neither waits nor
+		// allocates.
+		if n := testing.AllocsPerRun(100, func() {
+			s.mu.Lock()
+			s.waitSealBacklogLocked()
+			s.mu.Unlock()
+		}); n != 0 {
+			t.Fatalf("the seal-queue check allocates %.1f times when it does not wait", n)
+		}
 		// Each record fills a block on its own; the first is held at its
 		// segment write, the second queues behind it.
 		for i := 0; i < maxQueuedSeals; i++ {
@@ -183,6 +200,7 @@ func TestSealQueueBounded(t *testing.T) {
 		if !backlog {
 			t.Fatalf("%d full blocks appended, but no seal backlog", maxQueuedSeals)
 		}
+		assertWaits(t, s, 0)
 		return s, g
 	}
 	waiting := func(t *testing.T, s *CompactingStore) <-chan error {
@@ -199,10 +217,11 @@ func TestSealQueueBounded(t *testing.T) {
 		}
 		return done
 	}
-	released := func(t *testing.T, done <-chan error) error {
+	released := func(t *testing.T, s *CompactingStore, done <-chan error) error {
 		t.Helper()
 		select {
 		case err := <-done:
+			assertWaits(t, s, 1)
 			return err
 		case <-time.After(10 * time.Second):
 			t.Fatal("AppendBatch still waiting")
@@ -214,7 +233,7 @@ func TestSealQueueBounded(t *testing.T) {
 		s, g := open(t)
 		done := waiting(t, s)
 		g.gate <- nil
-		if err := released(t, done); err != nil {
+		if err := released(t, s, done); err != nil {
 			t.Fatal(err)
 		}
 		if n := s.Len(); n != maxQueuedSeals+1 {
@@ -226,7 +245,7 @@ func TestSealQueueBounded(t *testing.T) {
 		done := waiting(t, s)
 		closed := make(chan error, 1)
 		go func() { closed <- s.Close() }()
-		if err := released(t, done); err == nil || errors.Is(err, ErrDegraded) {
+		if err := released(t, s, done); err == nil || errors.Is(err, ErrDegraded) {
 			t.Fatalf("AppendBatch after Close = %v, want the closed-store error", err)
 		}
 		g.release() // let the shutdown drain seal the queue
@@ -241,7 +260,7 @@ func TestSealQueueBounded(t *testing.T) {
 		s, _ := open(t)
 		done := waiting(t, s)
 		s.setDegraded(fmt.Errorf("injected: %w", fsx.ErrNoSpace))
-		if err := released(t, done); !errors.Is(err, ErrDegraded) {
+		if err := released(t, s, done); !errors.Is(err, ErrDegraded) {
 			t.Fatalf("AppendBatch in degraded mode = %v, want ErrDegraded", err)
 		}
 	})
@@ -249,7 +268,7 @@ func TestSealQueueBounded(t *testing.T) {
 		s, g := open(t)
 		done := waiting(t, s)
 		g.gate <- errors.New("injected seal failure")
-		if err := released(t, done); err != nil {
+		if err := released(t, s, done); err != nil {
 			t.Fatal(err)
 		}
 		s.mu.Lock()
@@ -263,4 +282,13 @@ func TestSealQueueBounded(t *testing.T) {
 			t.Fatal("SealError = nil after an injected seal failure")
 		}
 	})
+}
+
+// assertWaits checks that the store counted want seal-queue waits, each
+// with one wait-time observation.
+func assertWaits(t *testing.T, s *CompactingStore, want int64) {
+	t.Helper()
+	if n, h := s.m.SealWaits.Value(), s.m.SealWaitSeconds.Count(); n != want || h != want {
+		t.Fatalf("SealWaits = %d with %d wait-time observations, want %d", n, h, want)
+	}
 }

@@ -182,9 +182,10 @@ type topic struct {
 	maxTime int64
 }
 
-// newTopic creates an empty topic whose first record gets offset first.
-func newTopic(first int64) *topic {
-	return &topic{first: first, byTmpl: make(map[uint64][]int64)}
+// newTopic creates an empty topic whose first record gets offset first,
+// with room for capacity records before its record slice regrows.
+func newTopic(first int64, capacity int) *topic {
+	return &topic{first: first, records: make([]Record, 0, capacity), byTmpl: make(map[uint64][]int64)}
 }
 
 // appendBatch stores a batch of records under one lock acquisition, all

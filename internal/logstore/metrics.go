@@ -83,11 +83,13 @@ type Metrics struct {
 	WALTornTails      *obs.Counter // WALs truncated at a torn record
 
 	// Compaction.
-	BatchRecords   *obs.Histogram // AppendBatch size distribution
-	Seals          *obs.Counter   // blocks sealed into segments
-	SealSeconds    *obs.Histogram // seal (encode+write) latency
-	SealRetries    *obs.Counter   // failed seal attempts that were retried
-	DegradedEnters *obs.Counter   // transitions into degraded read-only mode
+	BatchRecords    *obs.Histogram // AppendBatch size distribution
+	Seals           *obs.Counter   // blocks sealed into segments
+	SealSeconds     *obs.Histogram // seal (encode+write) latency
+	SealRetries     *obs.Counter   // failed seal attempts that were retried
+	SealWaits       *obs.Counter   // appends that waited for a full seal queue
+	SealWaitSeconds *obs.Histogram // how long each of those appends waited
+	DegradedEnters  *obs.Counter   // transitions into degraded read-only mode
 
 	// Query pushdown, counted in one place — the read fan-out every
 	// CompactingStore query goes through: each sealed-block visit either

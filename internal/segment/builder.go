@@ -41,18 +41,25 @@ type encoder struct {
 	ends     []int // every record's column end offsets, back to back
 	start    []int // record i's column ends are ends[start[i]:start[i+1]]
 	recGroup []int // group index of each record
-	groupOf  map[groupKey]int
-	groups   []group
-	colIDs   []int // per group column: literal token ID, or variableCol
-	rare     []int // records whose Tokenize tokens are not their non-empty columns
-	tokenID  map[string]int
-	tokens   []string
-	order    []int    // group indices sorted by template
-	samples  []int64  // one template's sample offsets, merged across groups
-	fields   []string // Tokenize scratch for the rare lines
-	payload  []byte
-	packed   []byte // the record tuples, then the compressed payload
-	meta     []byte
+	// firstOf maps a raw line to the index of its first record in the
+	// block, and src[i] is the record whose columns record i shares:
+	// that first record when i repeats its line and template, else i.
+	// A repeat stores no column ends of its own.
+	firstOf map[string]int
+	src     []int
+	varSpan []span // where each record's variable token IDs sit in the tuples
+	groupOf map[groupKey]int
+	groups  []group
+	colIDs  []int // per group column: literal token ID, or variableCol
+	rare    []int // records whose Tokenize tokens are not their non-empty columns
+	tokenID map[string]int
+	tokens  []string
+	order   []int    // group indices sorted by template
+	samples []int64  // one template's sample offsets, merged across groups
+	fields  []string // Tokenize scratch for the rare lines
+	payload []byte
+	packed  []byte // the record tuples, then the compressed payload
+	meta    []byte
 }
 
 // spareEncoder is the encoder cache: a single slot, not a sync.Pool,
@@ -67,14 +74,17 @@ func getEncoder() *encoder {
 	if e := spareEncoder.Swap(nil); e != nil {
 		return e
 	}
-	return &encoder{groupOf: make(map[groupKey]int), tokenID: make(map[string]int)}
+	return &encoder{firstOf: make(map[string]int), groupOf: make(map[groupKey]int), tokenID: make(map[string]int)}
 }
 
 // release drops every reference into the caller's records, so the cached
 // encoder does not keep sealed lines alive, and puts e back in the slot.
 func (e *encoder) release() {
 	clear(e.tokens)
-	clear(e.fields)
+	// Each rare line reslices fields to zero, so tokens of a longer
+	// earlier line sit past its length.
+	clear(e.fields[:cap(e.fields)])
+	clear(e.firstOf)
 	clear(e.groupOf)
 	clear(e.tokenID)
 	spareEncoder.Store(e)
@@ -87,13 +97,15 @@ func (e *encoder) release() {
 // append order. The encoding is exact: Reader.Records returns every field
 // bit-for-bit, including raw lines with repeated spaces or tabs.
 //
-// Each line is split into columns once, into one flat slice of column
-// end offsets, and each record does at most one group lookup (none when
-// it repeats the previous record's group). Per-group statistics are
-// merged into the per-template metadata at the end. The token bloom is
-// sized by distinct tokens: every non-empty column value, plus the
-// Tokenize tokens of the few lines whose whitespace is not just ASCII
-// spaces.
+// Each distinct line is split into columns once, into one flat slice of
+// column end offsets, and each record does at most one group lookup
+// (none when it repeats the previous record's group). A record that
+// repeats an earlier line of the block under the same template reuses
+// that record's columns, group and variable token IDs: it is not split,
+// compared or interned again. Per-group statistics are merged into the
+// per-template metadata at the end. The token bloom is sized by distinct
+// tokens: every non-empty column value, plus the Tokenize tokens of the
+// few lines whose whitespace is not just ASCII spaces.
 func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 	if len(records) == 0 {
 		return nil, Stats{}, fmt.Errorf("segment: encode: no records")
@@ -111,33 +123,32 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 	e := getEncoder()
 	defer e.release()
 
-	// Split each line once, group the records by (template, column
-	// count) — one dictionary entry per group — and find each group's
-	// literal columns: the ones every member agrees on, stored once in
-	// the entry. The rest are per-record variables.
-	e.ends, e.start, e.recGroup = e.ends[:0], e.start[:0], e.recGroup[:0]
+	// Split each distinct line once, group the records by (template,
+	// column count) — one dictionary entry per group — and find each
+	// group's literal columns: the ones every member agrees on, stored
+	// once in the entry. The rest are per-record variables. A repeated
+	// line falls in its first record's group and agrees with the group
+	// exactly where that record did, so it skips all of this.
+	e.ends, e.start, e.recGroup, e.src = e.ends[:0], e.start[:0], e.recGroup[:0], e.src[:0]
 	e.groups, e.colIDs, e.rare = e.groups[:0], e.colIDs[:0], e.rare[:0]
 	minT, maxT := records[0].Time.UnixNano(), records[0].Time.UnixNano()
 	var rawBytes int64
 	prevKey, g := groupKey{}, -1
 	for i, r := range records {
 		rawBytes += int64(len(r.Raw))
-		s := len(e.ends)
-		e.start = append(e.start, s)
-		if !e.split(r.Raw) {
-			e.rare = append(e.rare, i)
-		}
-		ends := e.ends[s:]
-		if k := (groupKey{r.TemplateID, len(ends)}); g < 0 || k != prevKey {
-			var ok bool
-			if g, ok = e.groupOf[k]; !ok {
-				g = len(e.groups)
-				e.groupOf[k] = g
-				e.groups = append(e.groups, group{groupKey: k, base: i, colOff: len(e.colIDs)})
-				e.colIDs = append(e.colIDs, make([]int, len(ends))...)
+		e.start = append(e.start, len(e.ends))
+		j, seen := e.firstOf[r.Raw]
+		if seen && records[j].TemplateID == r.TemplateID {
+			g = e.recGroup[j]
+			prevKey = e.groups[g].groupKey
+		} else {
+			if !seen {
+				e.firstOf[r.Raw] = i
 			}
-			prevKey = k
+			j = i
+			g, prevKey = e.group(records, i, prevKey, g)
 		}
+		e.src = append(e.src, j)
 		e.recGroup = append(e.recGroup, g)
 		gr := &e.groups[g]
 		ns := r.Time.UnixNano()
@@ -151,18 +162,6 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 		if gr.nSamples < maxMetaSamples {
 			gr.samples[gr.nSamples] = r.Offset
 			gr.nSamples++
-		}
-		if gr.base == i {
-			continue
-		}
-		base, baseEnds := records[gr.base].Raw, e.ends[e.start[gr.base]:]
-		ids := e.colIDs[gr.colOff : gr.colOff+len(ends)]
-		lo, baseLo := 0, 0
-		for c, hi := range ends {
-			if ids[c] != variableCol && r.Raw[lo:hi] != base[baseLo:baseEnds[c]] {
-				ids[c] = variableCol
-			}
-			lo, baseLo = hi+1, baseEnds[c]+1
 		}
 	}
 	e.start = append(e.start, len(e.ends))
@@ -185,8 +184,11 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 	}
 	// The record tuples follow the token table in the payload, but
 	// writing them is what interns the variables, so they are buffered
-	// in e.packed first.
+	// in e.packed first. A repeated line copies its first record's
+	// variable IDs: interning them again would return the same IDs and
+	// add no token.
 	tuples := e.packed[:0]
+	e.varSpan = e.varSpan[:0]
 	baseTime := records[0].Time.UnixNano()
 	prev := baseTime
 	for i, r := range records {
@@ -195,16 +197,19 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 		ns := r.Time.UnixNano()
 		tuples = appendVarint(tuples, ns-prev)
 		prev = ns
-		if gr.vars == 0 {
-			continue
-		}
-		ids, lo := e.colIDs[gr.colOff:gr.colOff+gr.cols], 0
-		for c, hi := range e.ends[e.start[i]:e.start[i+1]] {
-			if ids[c] == variableCol {
-				tuples = appendUvarint(tuples, uint64(e.intern(r.Raw[lo:hi])))
+		lo := len(tuples)
+		if j := e.src[i]; j != i {
+			tuples = append(tuples, tuples[e.varSpan[j].lo:e.varSpan[j].hi]...)
+		} else if gr.vars > 0 {
+			ids, col := e.colIDs[gr.colOff:gr.colOff+gr.cols], 0
+			for c, hi := range e.ends[e.start[i]:e.start[i+1]] {
+				if ids[c] == variableCol {
+					tuples = appendUvarint(tuples, uint64(e.intern(r.Raw[col:hi])))
+				}
+				col = hi + 1
 			}
-			lo = hi + 1
 		}
+		e.varSpan = append(e.varSpan, span{uint32(lo), uint32(len(tuples))})
 	}
 	tableSize := len(e.tokens)
 
@@ -336,6 +341,43 @@ func Encode(records []Record, codec Codec) ([]byte, Stats, error) {
 		DictEntries:  len(e.groups),
 		Tokens:       tableSize,
 	}, nil
+}
+
+// group splits record i, finds or creates its group — skipping the
+// lookup when the key repeats prevKey, whose group is g — and turns
+// variable every literal column of the group that i disagrees on. It
+// returns i's group index and key.
+func (e *encoder) group(records []Record, i int, prevKey groupKey, g int) (int, groupKey) {
+	r := records[i]
+	s := len(e.ends)
+	if !e.split(r.Raw) {
+		e.rare = append(e.rare, i)
+	}
+	ends := e.ends[s:]
+	k := groupKey{r.TemplateID, len(ends)}
+	if g < 0 || k != prevKey {
+		var ok bool
+		if g, ok = e.groupOf[k]; !ok {
+			g = len(e.groups)
+			e.groupOf[k] = g
+			e.groups = append(e.groups, group{groupKey: k, base: i, colOff: len(e.colIDs)})
+			e.colIDs = append(e.colIDs, make([]int, len(ends))...)
+		}
+	}
+	gr := &e.groups[g]
+	if gr.base == i {
+		return g, k
+	}
+	base, baseEnds := records[gr.base].Raw, e.ends[e.start[gr.base]:]
+	ids := e.colIDs[gr.colOff : gr.colOff+len(ends)]
+	lo, baseLo := 0, 0
+	for c, hi := range ends {
+		if ids[c] != variableCol && r.Raw[lo:hi] != base[baseLo:baseEnds[c]] {
+			ids[c] = variableCol
+		}
+		lo, baseLo = hi+1, baseEnds[c]+1
+	}
+	return g, k
 }
 
 // split appends the end offsets of raw's columns — the pieces between

@@ -445,6 +445,80 @@ func TestEncodeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	for name, recs := range repeatedLineBlocks() {
+		t.Run("repeats/"+name, func(t *testing.T) {
+			for _, codec := range []Codec{CodecNone, CodecFlate} {
+				assertEncodeParity(t, recs, codec)
+			}
+		})
+	}
+}
+
+// repeatedLineBlocks are blocks whose records repeat earlier lines, the
+// case Encode answers from its first record instead of splitting again.
+func repeatedLineBlocks() map[string][]Record {
+	type line struct {
+		raw  string
+		tmpl uint64
+	}
+	block := func(lines ...line) []Record {
+		recs := make([]Record, len(lines))
+		for i, l := range lines {
+			recs[i] = Record{Offset: 500 + int64(i), Time: ts(i % 7), Raw: l.raw, TemplateID: l.tmpl}
+		}
+		return recs
+	}
+	var whole, twoIDs, rare []line
+	for i := 0; i < 2000; i++ {
+		whole = append(whole, line{"session 42 opened for user u7", 3})
+	}
+	for i := 0; i < 50; i++ {
+		// The same raw line under two template IDs, as after a model
+		// swap: each ID has its own dictionary entry.
+		twoIDs = append(twoIDs, line{"conn 9 closed by peer", uint64(1 + i%2)}, line{fmt.Sprintf("conn %d closed by peer", i), 1})
+		// Lines whose Tokenize tokens are not their columns.
+		rare = append(rare, line{"a\tb c  d", 4}, line{"日本　x y", 4}, line{fmt.Sprintf("a\tb c  %d", i%3), 4})
+	}
+	return map[string][]Record{
+		"one line":         block(whole...),
+		"two template IDs": block(twoIDs...),
+		"rare lines":       block(rare...),
+		// "req 1 ok" repeats while column 1 is still a literal of its
+		// group; "req 2 ok" then turns it variable, so the repeats after
+		// it and before it must all carry the variable.
+		"literal turns variable": block(
+			line{"req 1 ok", 5}, line{"req 1 ok", 5}, line{"other line", 6}, line{"req 1 ok", 5},
+			line{"req 2 ok", 5}, line{"req 1 ok", 5}, line{"req 2 ok", 5}, line{"req 1 ok", 6},
+		),
+	}
+}
+
+// TestEncoderKeepsNoLine checks that the cached encoder holds no string
+// of a block once Encode returns, so it never keeps sealed lines alive.
+func TestEncoderKeepsNoLine(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(1)), 300, 0)
+	recs = append(recs, recs...)
+	for i := range recs {
+		recs[i].Offset = int64(i)
+	}
+	if _, _, err := Encode(recs, CodecFlate); err != nil {
+		t.Fatal(err)
+	}
+	e := spareEncoder.Load()
+	if e == nil {
+		t.Fatal("no cached encoder after Encode")
+	}
+	if len(e.firstOf) != 0 || len(e.tokenID) != 0 || len(e.groupOf) != 0 {
+		t.Fatalf("cached encoder keeps %d lines, %d tokens and %d groups in its maps",
+			len(e.firstOf), len(e.tokenID), len(e.groupOf))
+	}
+	for name, strs := range map[string][]string{"tokens": e.tokens, "fields": e.fields} {
+		for i, s := range strs[:cap(strs)] {
+			if s != "" {
+				t.Fatalf("cached encoder keeps %s[%d] = %q", name, i, s)
+			}
+		}
+	}
 }
 
 // FuzzEncodeParity holds Encode to encodeRef on arbitrary lines (one per
@@ -453,6 +527,12 @@ func FuzzEncodeParity(f *testing.F) {
 	f.Add("a b c\nd  e\tf\n\n x y \na b d", int64(1))
 	f.Add(" \n  \n\t\n　", int64(2))
 	f.Add("PacketResponder 1 for block blk_7 terminating\nPacketResponder 2 for block blk_8 terminating", int64(3))
+	// Repeated lines; the seed's templates put some repeats under a
+	// second template ID.
+	f.Add(strings.Repeat("one line all block\n", 200)+"one line all block", int64(4))
+	f.Add("x y z\nx y z\nx y z\nx y z\nx y z\nx y z", int64(5))
+	f.Add("a\tb c\nu　v w\na\tb c\nu　v w\na\tb c", int64(6))
+	f.Add("req 1 ok\nreq 1 ok\nreq 2 ok\nreq 1 ok\nreq 3 ok\nreq 1 ok", int64(7))
 	f.Fuzz(func(t *testing.T, text string, seed int64) {
 		lines := strings.Split(text, "\n")
 		if len(lines) > 4096 {
@@ -472,9 +552,10 @@ func FuzzEncodeParity(f *testing.F) {
 	})
 }
 
-// TestEncodeConcurrent runs Encode from several goroutines at once: the
-// pooled encoder scratch and flate writers must never be shared between
-// two calls, so every blob equals the one a lone call produced.
+// TestEncodeConcurrent runs Encode and a sealed read from several
+// goroutines at once: the cached encoder scratch, flate writers and flate
+// readers must never be shared between two calls, so every blob equals
+// the one a lone call produced and reads back to its records.
 func TestEncodeConcurrent(t *testing.T) {
 	sets := make([][]Record, 4)
 	want := make([][]byte, len(sets))
@@ -500,6 +581,16 @@ func TestEncodeConcurrent(t *testing.T) {
 				}
 				if !bytes.Equal(blob, want[i]) {
 					t.Errorf("goroutine %d: set %d encoded differently under concurrency", g, i)
+					return
+				}
+				r, err := Open(blob)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				recs, err := r.Records()
+				if err != nil || len(recs) != len(sets[i]) || recs[len(recs)-1].Raw != sets[i][len(recs)-1].Raw {
+					t.Errorf("goroutine %d: set %d read back %d records (%v) under concurrency", g, i, len(recs), err)
 					return
 				}
 			}

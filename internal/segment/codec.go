@@ -16,9 +16,16 @@ const (
 	// alone (shared templates, interned tokens, varint deltas) already
 	// shrinks typical log data substantially.
 	CodecNone Codec = 0
-	// CodecFlate compresses the payload with DEFLATE (stdlib flate).
+	// CodecFlate compresses the payload with DEFLATE (stdlib flate) at
+	// level 5.
 	CodecFlate Codec = 1
 )
+
+// flateLevel is the DEFLATE level of every seal: the cheapest level
+// whose output stays within 1% of the default level (6) on every
+// corpus. Levels below it cost 3–5% more bytes on HDFS and Thunderbird.
+// The level is not part of the format; a reader inflates any level.
+const flateLevel = 5
 
 // String implements fmt.Stringer.
 func (c Codec) String() string {
@@ -72,8 +79,39 @@ func getFlate() *flateState {
 	}
 	s := &flateState{}
 	// NewWriter fails only on an invalid level.
-	s.w, _ = flate.NewWriter(&s.out, flate.DefaultCompression)
+	s.w, _ = flate.NewWriter(&s.out, flateLevel)
 	return s
+}
+
+// inflater is one cached DEFLATE reader together with the source it
+// reads, so a sealed read reuses the decompressor's 32 KiB window and
+// code tables instead of allocating them per block.
+type inflater struct {
+	r   io.ReadCloser // a flate reader; it implements flate.Resetter
+	src bytes.Reader
+}
+
+// spareInflater is the reader cache: a single slot, like spareFlate.
+var spareInflater atomic.Pointer[inflater]
+
+// getInflater takes the cached reader, or builds one, set to read src.
+func getInflater(src []byte) *inflater {
+	f := spareInflater.Swap(nil)
+	if f == nil {
+		f = &inflater{}
+		f.r = flate.NewReader(&f.src)
+	}
+	f.src.Reset(src)
+	// Reset fails only when the dictionary is invalid; there is none.
+	f.r.(flate.Resetter).Reset(&f.src, nil)
+	return f
+}
+
+// release drops the reference to the caller's blob and puts f back in
+// the slot.
+func (f *inflater) release() {
+	f.src.Reset(nil)
+	spareInflater.Store(f)
 }
 
 // compress appends the codec's encoding of src to dst and returns the
@@ -120,15 +158,15 @@ func (c Codec) decompress(src []byte, rawLen int) ([]byte, error) {
 		if rawLen > len(src)*1040+64 {
 			return nil, corruptf("claimed payload length %d impossible from %d compressed bytes", rawLen, len(src))
 		}
-		r := flate.NewReader(bytes.NewReader(src))
-		defer r.Close()
+		f := getInflater(src)
+		defer f.release()
 		dst := make([]byte, rawLen)
-		if _, err := io.ReadFull(r, dst); err != nil {
+		if _, err := io.ReadFull(f.r, dst); err != nil {
 			return nil, corruptf("flate payload: %v", err)
 		}
 		// One extra read distinguishes "exactly rawLen" from "more data".
 		var one [1]byte
-		if n, _ := r.Read(one[:]); n != 0 {
+		if n, _ := f.r.Read(one[:]); n != 0 {
 			return nil, corruptf("flate payload longer than header length %d", rawLen)
 		}
 		return dst, nil

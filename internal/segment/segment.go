@@ -10,7 +10,10 @@
 // entry holding the literal tokens, and each record stores only its
 // (dictionary-entry, timestamp-delta, variable-token) tuple, CLP-style.
 // Variable tokens are interned in a per-segment token table and referenced
-// by varint IDs; the whole payload is then optionally DEFLATE-compressed.
+// by varint IDs; the whole payload is then optionally DEFLATE-compressed
+// (level 5). A record that repeats an earlier line of its block under the
+// same template reuses that record's columns and variable token IDs
+// instead of being split and interned again.
 //
 // A small uncompressed metadata section — per-template record counts,
 // sample offsets and min/max timestamps, the block time range, and a

@@ -63,6 +63,8 @@ type serviceMetrics struct {
 	storeSeals         *obs.CounterVec
 	storeSealSeconds   *obs.HistogramVec
 	storeSealRetries   *obs.CounterVec
+	storeSealWaits     *obs.CounterVec
+	storeSealWaitSecs  *obs.HistogramVec
 	storeDegradedSum   *obs.CounterVec
 	storeDegraded      *obs.FuncVec
 	blocksPruned       *obs.CounterVec
@@ -119,6 +121,8 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		storeSeals:         reg.Counter("bb_store_seals_total", "Hot blocks sealed into compressed segments.", "topic"),
 		storeSealSeconds:   reg.Histogram("bb_store_seal_seconds", "Block seal (encode + write) duration.", lat, "topic"),
 		storeSealRetries:   reg.Counter("bb_seal_retries_total", "Failed seal attempts retried with backoff.", "topic"),
+		storeSealWaits:     reg.Counter("bb_store_seal_waits_total", "Appends that waited because full blocks were queued for the sealer.", "topic"),
+		storeSealWaitSecs:  reg.Histogram("bb_store_seal_wait_seconds", "How long an append waited for the seal queue.", lat, "topic"),
 		storeDegradedSum:   reg.Counter("bb_store_degraded_enters_total", "Transitions into degraded read-only mode.", "topic"),
 		storeDegraded:      reg.GaugeFunc("bb_store_degraded", "1 while the topic's store is degraded to read-only (ingest shed, queries served).", "topic"),
 		blocksPruned:       reg.Counter("bb_segment_blocks_pruned_total", "Sealed-block query visits answered from metadata alone.", "topic"),
@@ -207,6 +211,8 @@ func (m *serviceMetrics) topic(name string) *topicMetrics {
 			Seals:              m.storeSeals.With(name),
 			SealSeconds:        m.storeSealSeconds.With(name),
 			SealRetries:        m.storeSealRetries.With(name),
+			SealWaits:          m.storeSealWaits.With(name),
+			SealWaitSeconds:    m.storeSealWaitSecs.With(name),
 			DegradedEnters:     m.storeDegradedSum.With(name),
 			BlocksPruned:       m.blocksPruned.With(name),
 			SegmentReadErrors:  m.segmentReadErrors.With(name),
