@@ -73,3 +73,35 @@ func rawGood(cfg Config, c *conn, batch []string) {
 	}
 	c.ack(uint32(len(batch)), StatusOK)
 }
+
+// ackBuf queues acks and writes them together, the shape of the real
+// server's per-connection ack buffer. Neither method commits anything,
+// so queueing an OK ack must still be dominated by the Ingest it
+// reports.
+type ackBuf struct{ acks []byte }
+
+func (b *ackBuf) queueAck(seq uint32, status byte) { b.acks = append(b.acks, byte(seq), status) }
+func (b *ackBuf) writeAcks() error                 { b.acks = b.acks[:0]; return nil }
+
+// queuedAckBeforeIngest appends the OK ack to the buffer before the
+// frame is committed; the later write does not make it a commit.
+func queuedAckBeforeIngest(cfg Config, b *ackBuf, f frame) {
+	b.queueAck(f.seq, StatusOK) // want "OK ack is not dominated by a store commit"
+	if err := cfg.Ingest(f.topic, f.lines); err != nil {
+		b.queueAck(f.seq, StatusErr)
+	}
+	b.writeAcks()
+}
+
+// queuedAckGood appends the OK ack after Ingest and writes the buffer
+// once per batch of frames.
+func queuedAckGood(cfg Config, b *ackBuf, frames []frame) {
+	for _, f := range frames {
+		if err := cfg.Ingest(f.topic, f.lines); err != nil {
+			b.queueAck(f.seq, StatusErr)
+			continue
+		}
+		b.queueAck(f.seq, StatusOK)
+	}
+	b.writeAcks()
+}

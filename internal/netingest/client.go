@@ -159,12 +159,26 @@ func (c *Client) sendFrame(topic string, lines []string) error {
 	return nil
 }
 
-// readAck flushes buffered writes and blocks for one ack, resolving or
-// resending the frame it names.
+// readAck flushes buffered writes and blocks for one ack, then also
+// resolves every ack already buffered behind it: the server writes the
+// acks of one wakeup together, and resolving them all lets sendFrame
+// refill the window in one write instead of one frame per ack.
 func (c *Client) readAck() error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
+	for {
+		if err := c.resolveAck(); err != nil {
+			return err
+		}
+		if c.br.Buffered() < AckSize {
+			return nil
+		}
+	}
+}
+
+// resolveAck reads one ack and resolves or resends the frame it names.
+func (c *Client) resolveAck() error {
 	var a [AckSize]byte
 	if _, err := io.ReadFull(c.br, a[:]); err != nil {
 		return fmt.Errorf("netingest: reading ack: %w", err)

@@ -77,6 +77,15 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	if cfg.Ingest == nil {
 		return nil, errors.New("netingest: Config.Ingest is required")
 	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return serve(ln, cfg), nil
+}
+
+// serve fills in cfg's defaults and starts accepting on ln.
+func serve(ln net.Listener, cfg Config) *Server {
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrameBytes
 	}
@@ -89,14 +98,10 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &Metrics{}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{cfg: cfg, ln: ln, conns: make(map[*srvConn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound listen address.
@@ -144,7 +149,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		sc := &srvConn{conn: conn}
+		sc := newSrvConn(conn, s.cfg)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -159,20 +164,73 @@ func (s *Server) acceptLoop() {
 }
 
 // srvConn is per-connection state shared between reader and worker.
+//
+// Acks queue in acks, in admission order, and go out together in one
+// write(2). The worker writes them when its queue runs dry (see
+// frameWorker); the reader's BUSY and protocol-violation ERR acks are
+// written at once, taking every ack queued before them along.
 type srvConn struct {
-	conn     net.Conn
-	wmu      sync.Mutex   // serializes ack writes (reader BUSY vs worker OK/ERR)
-	inflight atomic.Int64 // body bytes admitted to the frame queue
+	conn         net.Conn
+	inflight     atomic.Int64   // body bytes admitted to the frame queue
+	frameSeconds *obs.Histogram // queue-to-ack latency of OK frames
+
+	wmu    sync.Mutex  // guards the fields below and serialises ack writes
+	acks   []byte      // encoded acks not yet written
+	starts []time.Time // queue times of the OK frames among acks
+	werr   error       // first ack write error; the ack stream is dead
 }
 
-func (c *srvConn) ack(seq uint32, status byte) error {
-	var b [AckSize]byte
-	_ = AppendAck(b[:0], seq, status)
+func newSrvConn(conn net.Conn, cfg Config) *srvConn {
+	// Room for the acks of a full queue, of the frame the worker holds
+	// and of one reader ack, so the buffers never grow.
+	n := cfg.FrameQueue + 2
+	return &srvConn{
+		conn:         conn,
+		frameSeconds: cfg.Metrics.FrameSeconds,
+		acks:         make([]byte, 0, n*AckSize),
+		starts:       make([]time.Time, 0, n),
+	}
+}
+
+// queueAck appends one ack to the connection's unwritten acks; queued
+// is the frame's admission time for an OK ack. It reports whether the
+// ack is the oldest one not yet written.
+func (c *srvConn) queueAck(seq uint32, status byte, queued time.Time) (oldest bool) {
 	c.wmu.Lock()
-	//bbvet:ignore lockbalance wmu exists to serialise the acks of one connection; a stalled client blocks only its own acks
-	_, err := c.conn.Write(b[:])
+	oldest = len(c.acks) == 0
+	c.acks = AppendAck(c.acks, seq, status)
+	if status == StatusOK {
+		c.starts = append(c.starts, queued)
+	}
 	c.wmu.Unlock()
-	return err
+	return oldest
+}
+
+// writeAcks writes every queued ack in one write and observes the
+// queue-to-ack latency of the OK frames among them. After a failed
+// write it drops the acks and keeps returning that error.
+func (c *srvConn) writeAcks() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr == nil && len(c.acks) > 0 {
+		//bbvet:ignore lockbalance wmu exists to serialise the acks of one connection; a stalled client blocks only its own acks
+		_, c.werr = c.conn.Write(c.acks)
+		if c.werr == nil {
+			now := time.Now()
+			for _, t := range c.starts {
+				c.frameSeconds.ObserveDuration(now.Sub(t))
+			}
+		}
+	}
+	c.acks, c.starts = c.acks[:0], c.starts[:0]
+	return c.werr
+}
+
+// ack queues one ack and writes it at once, with every ack queued
+// before it.
+func (c *srvConn) ack(seq uint32, status byte) error {
+	c.queueAck(seq, status, time.Time{})
+	return c.writeAcks()
 }
 
 func (s *Server) handle(sc *srvConn) {
@@ -276,9 +334,16 @@ func (s *Server) serveFramed(sc *srvConn, br *bufio.Reader) {
 }
 
 // frameWorker drains the frame queue: decode (zero allocations), one
-// copy of the line block, synchronous ingest, ack. It keeps draining
-// after the reader exits so every admitted frame is still committed and
-// acked during graceful shutdown.
+// copy of the line block, synchronous ingest, queued ack. It keeps
+// draining after the reader exits so every admitted frame is still
+// committed and acked during graceful shutdown.
+//
+// Acks are written once per wakeup: when the queue is empty after a
+// commit, so a frame that lands on an idle connection is acked as soon
+// as it commits, and a burst of k queued frames costs one ack write,
+// not k. held bounds the wait for a client that keeps the queue full:
+// it counts the frames that were queued behind the oldest unwritten ack
+// and are not yet committed, and the acks go out when it reaches zero.
 func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 	m := s.cfg.Metrics
 	var (
@@ -293,22 +358,23 @@ func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 		sc.inflight.Add(-n)
 		m.InflightBytes.Add(-n)
 	}
-	for p := range frames {
+	// commit ingests one frame and queues its ack. It reports whether
+	// that ack is the oldest one not yet written.
+	commit := func(p pendingFrame) (oldest bool) {
 		n := int64(p.h.BodyLen())
 		if dead {
 			release(p, n)
-			continue
+			return false
 		}
 		if err := f.Decode(p.h, (*p.buf)[:p.h.BodyLen()]); err != nil {
 			release(p, n)
 			m.Errors.Inc()
 			s.logf("netingest: %s: %v", sc.conn.RemoteAddr(), err)
-			sc.ack(p.h.Seq, StatusErr)
 			// Malformed body ⇒ client-side encoder bug; kick the
 			// reader so the connection winds down.
 			sc.conn.SetReadDeadline(time.Now())
 			dead = true
-			continue
+			return sc.queueAck(p.h.Seq, StatusErr, p.start)
 		}
 		if !bytes.Equal(topicBytes, f.Topic) {
 			topic = string(f.Topic)
@@ -335,25 +401,28 @@ func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 				// full disk): BUSY tells the client to back off and
 				// resend instead of treating the frame as rejected.
 				m.Busy.Inc()
-				if sc.ack(p.h.Seq, StatusBusy) != nil {
-					dead = true
-				}
-				continue
+				return sc.queueAck(p.h.Seq, StatusBusy, p.start)
 			}
 			m.Errors.Inc()
-			if sc.ack(p.h.Seq, StatusErr) != nil {
-				dead = true
-			}
-			continue
+			return sc.queueAck(p.h.Seq, StatusErr, p.start)
 		}
 		m.Frames.Inc()
 		m.Lines.Add(int64(nlines))
 		m.Bytes.Add(int64(nbytes))
-		m.FrameSeconds.ObserveDuration(time.Since(p.start))
-		if sc.ack(p.h.Seq, StatusOK) != nil {
+		return sc.queueAck(p.h.Seq, StatusOK, p.start)
+	}
+	held := 0
+	for p := range frames {
+		if commit(p) {
+			held = len(frames)
+		} else {
+			held--
+		}
+		if (held <= 0 || len(frames) == 0) && sc.writeAcks() != nil {
 			dead = true
 		}
 	}
+	sc.writeAcks()
 }
 
 // rawBatchLines is how many newline-framed lines accumulate before an
