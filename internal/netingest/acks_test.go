@@ -249,6 +249,38 @@ func TestAcksCoalescePerWakeup(t *testing.T) {
 		r.expectAcks(t, 5*time.Second, okAck(3), okAck(4))
 	})
 
+	t.Run("raw final acks leave frame latency alone", func(t *testing.T) {
+		// frame_seconds counts the frames the worker commits; a raw
+		// connection's final ack has no queue time and must not be
+		// observed (a zero start time would read as ~292 years).
+		r := newAckRig(t)
+		r.sink.open()
+		r.send(t, 0, "app")
+		r.expectAcks(t, 5*time.Second, okAck(0))
+		for i := 0; i < 2; i++ {
+			raw, err := net.Dial("tcp", r.srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			raw.Write([]byte(MagicRaw))
+			raw.Write([]byte{3, 0})
+			raw.Write([]byte("app\nline a\nline b\n"))
+			raw.(*net.TCPConn).CloseWrite()
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if seq, status := readAck(t, raw); seq != 2 || status != StatusOK {
+				t.Fatalf("raw ack = (%d, %d), want (2, OK)", seq, status)
+			}
+		}
+		r.srv.Close()
+		if got := r.frame.Count(); got != 1 {
+			t.Fatalf("frame latency observed %d times, want 1 (the framed OK frame only)", got)
+		}
+		if sum := r.frame.Sum(); sum < 0 || time.Duration(sum) > 5*time.Second {
+			t.Fatalf("frame latency sum = %v, want the one framed frame's latency", time.Duration(sum))
+		}
+	})
+
 	t.Run("ack path allocates nothing", func(t *testing.T) {
 		hist := obs.NewRegistry().Histogram("bb_test_frame_seconds", "test", obs.LatencyBuckets).With()
 		sc := newSrvConn(discardConn{}, Config{FrameQueue: 64, Metrics: &Metrics{FrameSeconds: hist}})

@@ -93,13 +93,20 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 // collector is a thread-safe Ingest stub.
 type collector struct {
-	mu    sync.Mutex
-	lines map[string][]string
-	err   error
-	block chan struct{} // non-nil: Ingest waits here first
+	mu      sync.Mutex
+	lines   map[string][]string
+	err     error
+	block   chan struct{} // non-nil: Ingest waits here first
+	entered chan struct{} // non-nil: Ingest reports a call here first unless one is pending
 }
 
 func (c *collector) ingest(topic string, lines []string) error {
+	if c.entered != nil {
+		select {
+		case c.entered <- struct{}{}:
+		default:
+		}
+	}
 	if c.block != nil {
 		<-c.block
 	}
@@ -242,7 +249,8 @@ func readAck(t *testing.T, conn net.Conn) (uint32, byte) {
 // MaxInflight plus one frame each for the worker and the reader.
 func TestBusyBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	col := &collector{block: release}
+	var unblock sync.Once
+	col := &collector{block: release, entered: make(chan struct{}, 1)}
 	const maxInflight = 4096
 	srv, err := Listen("127.0.0.1:0", Config{
 		Ingest:      col.ingest,
@@ -253,6 +261,9 @@ func TestBusyBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// Runs before the Close above: a failed test must not leave the
+	// worker parked in Ingest, or Close would wait for it forever.
+	defer unblock.Do(func() { close(release) })
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -276,12 +287,22 @@ func TestBusyBackpressure(t *testing.T) {
 		if _, err := conn.Write(enc); err != nil {
 			t.Fatal(err)
 		}
+		if seq == 0 {
+			// The worker releases a frame's bytes when it takes it
+			// into Ingest. Flood only once frame 0 is there, so no
+			// budget frees up while the rest arrive.
+			select {
+			case <-col.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker never called Ingest")
+			}
+		}
 	}
 
-	// With ingest blocked the budget can never free up, so the final
-	// frame is guaranteed a BUSY ack: read BUSY acks until it shows up,
-	// at which point the reader has decided every frame and the
-	// admitted set is exact.
+	// With the worker blocked in Ingest the budget can never free up,
+	// so the final frame is guaranteed a BUSY ack: read BUSY acks until
+	// it shows up, at which point the reader has decided every frame and
+	// the admitted set is exact.
 	busy := make(map[uint32]bool)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for !busy[frames-1] {
@@ -301,7 +322,7 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 
 	// Unblock: the admitted frames drain to OK acks.
-	close(release)
+	unblock.Do(func() { close(release) })
 	ok := 0
 	for ok < admitted {
 		_, status := readAck(t, conn)

@@ -192,18 +192,16 @@ func newSrvConn(conn net.Conn, cfg Config) *srvConn {
 	}
 }
 
-// queueAck appends one ack to the connection's unwritten acks; queued
-// is the frame's admission time for an OK ack. It reports whether the
-// ack is the oldest one not yet written.
-func (c *srvConn) queueAck(seq uint32, status byte, queued time.Time) (oldest bool) {
+// queueAck appends one frame's ack to the connection's unwritten acks;
+// queued is the frame's admission time, observed when an OK ack is
+// written.
+func (c *srvConn) queueAck(seq uint32, status byte, queued time.Time) {
 	c.wmu.Lock()
-	oldest = len(c.acks) == 0
 	c.acks = AppendAck(c.acks, seq, status)
 	if status == StatusOK {
 		c.starts = append(c.starts, queued)
 	}
 	c.wmu.Unlock()
-	return oldest
 }
 
 // writeAcks writes every queued ack in one write and observes the
@@ -226,10 +224,13 @@ func (c *srvConn) writeAcks() error {
 	return c.werr
 }
 
-// ack queues one ack and writes it at once, with every ack queued
-// before it.
+// ack writes one reader-side ack (BUSY, header ERR, raw-mode final) at
+// once, with every ack queued before it. It records no queue time:
+// frame_seconds counts only the frames the worker commits.
 func (c *srvConn) ack(seq uint32, status byte) error {
-	c.queueAck(seq, status, time.Time{})
+	c.wmu.Lock()
+	c.acks = AppendAck(c.acks, seq, status)
+	c.wmu.Unlock()
 	return c.writeAcks()
 }
 
@@ -338,12 +339,12 @@ func (s *Server) serveFramed(sc *srvConn, br *bufio.Reader) {
 // draining after the reader exits so every admitted frame is still
 // committed and acked during graceful shutdown.
 //
-// Acks are written once per wakeup: when the queue is empty after a
-// commit, so a frame that lands on an idle connection is acked as soon
-// as it commits, and a burst of k queued frames costs one ack write,
-// not k. held bounds the wait for a client that keeps the queue full:
-// it counts the frames that were queued behind the oldest unwritten ack
-// and are not yet committed, and the acks go out when it reaches zero.
+// Acks are written once per wakeup: after committing a frame the worker
+// also commits the frames already queued behind it, then writes all
+// their acks in one write. A frame that lands on an idle connection is
+// acked as soon as it commits, a burst of k queued frames costs one ack
+// write, not k, and no ack waits past the commit of the frames that were
+// admitted behind it.
 func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 	m := s.cfg.Metrics
 	var (
@@ -358,13 +359,12 @@ func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 		sc.inflight.Add(-n)
 		m.InflightBytes.Add(-n)
 	}
-	// commit ingests one frame and queues its ack. It reports whether
-	// that ack is the oldest one not yet written.
-	commit := func(p pendingFrame) (oldest bool) {
+	// commit ingests one frame and queues its ack.
+	commit := func(p pendingFrame) {
 		n := int64(p.h.BodyLen())
 		if dead {
 			release(p, n)
-			return false
+			return
 		}
 		if err := f.Decode(p.h, (*p.buf)[:p.h.BodyLen()]); err != nil {
 			release(p, n)
@@ -374,7 +374,8 @@ func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 			// reader so the connection winds down.
 			sc.conn.SetReadDeadline(time.Now())
 			dead = true
-			return sc.queueAck(p.h.Seq, StatusErr, p.start)
+			sc.queueAck(p.h.Seq, StatusErr, p.start)
+			return
 		}
 		if !bytes.Equal(topicBytes, f.Topic) {
 			topic = string(f.Topic)
@@ -401,24 +402,24 @@ func (s *Server) frameWorker(sc *srvConn, frames <-chan pendingFrame) {
 				// full disk): BUSY tells the client to back off and
 				// resend instead of treating the frame as rejected.
 				m.Busy.Inc()
-				return sc.queueAck(p.h.Seq, StatusBusy, p.start)
+				sc.queueAck(p.h.Seq, StatusBusy, p.start)
+				return
 			}
 			m.Errors.Inc()
-			return sc.queueAck(p.h.Seq, StatusErr, p.start)
+			sc.queueAck(p.h.Seq, StatusErr, p.start)
+			return
 		}
 		m.Frames.Inc()
 		m.Lines.Add(int64(nlines))
 		m.Bytes.Add(int64(nbytes))
-		return sc.queueAck(p.h.Seq, StatusOK, p.start)
+		sc.queueAck(p.h.Seq, StatusOK, p.start)
 	}
-	held := 0
 	for p := range frames {
-		if commit(p) {
-			held = len(frames)
-		} else {
-			held--
+		commit(p)
+		for k := len(frames); k > 0; k-- {
+			commit(<-frames)
 		}
-		if (held <= 0 || len(frames) == 0) && sc.writeAcks() != nil {
+		if sc.writeAcks() != nil {
 			dead = true
 		}
 	}
