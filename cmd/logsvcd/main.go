@@ -44,7 +44,7 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "persist topics (write-ahead log, sealed segments, model snapshots) under this directory; empty = sealed segments kept in memory")
 		segmentBytes = flag.Int64("segment-bytes", 0, "seal hot blocks of this raw size into compressed columnar segments (0 = default 4 MiB)")
 		segmentCodec = flag.String("segment-codec", "flate", "sealed-segment payload codec: flate or none")
-		snapRetain   = flag.Int("snapshot-retain", 0, "keep only this many newest model snapshots per topic (0 = keep all)")
+		snapRetain   = flag.Int("snapshot-retain", 0, "with -data-dir, keep only this many newest model snapshots per topic (0 = keep all; without -data-dir a topic keeps only its live model)")
 		snapCkpt     = flag.Int("snapshot-checkpoint-every", 0, "with -snapshot-retain, additionally keep every Nth snapshot as a checkpoint (0 = none)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof profiles on this separate address (empty = disabled); keep it off the public listener")
 		slowQuery    = flag.Duration("slow-query", 0, "log a structured line for queries at or over this duration (0 = disabled)")

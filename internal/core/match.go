@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
+
+	"bytebrain/internal/encode"
 )
 
 // MatchResult reports where one log landed.
@@ -47,15 +50,14 @@ type Matcher struct {
 
 // tempOverlay is the synchronized temporary-template side of a matcher.
 // It is shared across matcher generations: a model swap prunes entries
-// the new model absorbed but keeps the object (and its ID counter), so
-// no temporary — however racily inserted — ever becomes unresolvable or
-// collides with a trained ID.
+// the new model absorbed but keeps the object, so no temporary — however
+// racily inserted — ever becomes unresolvable. Temporary IDs live in
+// their own band (temporaryID), so they never collide with a trained ID.
 type tempOverlay struct {
 	mu     sync.RWMutex
 	index  map[int]*lenBucket
 	linear []*indexed // insertion order
 	byID   map[uint64]*Node
-	nextID uint64 // temporary IDs continue the model's ID space
 }
 
 // indexed is one match candidate: a node, its match priority within its
@@ -71,18 +73,34 @@ func newIndexed(n *Node, rank int) *indexed {
 	return &indexed{node: n, rank: rank, text: n.Text()}
 }
 
-// snapshotIDHeadroom is added to NextID when SnapshotModel hands the
-// model to a training cycle. Training allocates new node IDs from that
-// offset while the live overlay keeps allocating temporary IDs below it,
-// so IDs minted concurrently on the two sides can never collide. The
-// headroom consumes ~2^32 of the uint64 ID space per training cycle.
-const snapshotIDHeadroom = 1 << 32
+// tempIDBand is the top bit of a node ID. Every temporary ID carries it;
+// trained IDs count up from 1 (Model.NextID) and never reach it.
+const tempIDBand = 1 << 63
 
-func newTempOverlay(nextID uint64) *tempOverlay {
+// temporaryID derives a temporary template's ID from its token sequence:
+// the band bit over a 64-bit hash of a length-prefixed (so injective)
+// encoding of the tokens. The same template gets the same ID in every
+// process lifetime, so a record stored under a temporary that a restart
+// lost can never be claimed by a different template. When taken reports
+// a candidate as held by another template, the ID moves to the next one
+// in the band.
+func temporaryID(tokens []string, taken func(id uint64) bool) uint64 {
+	var buf []byte
+	for _, t := range tokens {
+		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		buf = append(buf, t...)
+	}
+	id := tempIDBand | encode.Hash64(string(buf))
+	for taken(id) {
+		id = tempIDBand | (id + 1)
+	}
+	return id
+}
+
+func newTempOverlay() *tempOverlay {
 	return &tempOverlay{
-		index:  make(map[int]*lenBucket),
-		byID:   make(map[uint64]*Node),
-		nextID: nextID,
+		index: make(map[int]*lenBucket),
+		byID:  make(map[uint64]*Node),
 	}
 }
 
@@ -120,10 +138,10 @@ func (p *Parser) NewMatcher(model *Model) (*Matcher, error) {
 
 // NewMatcherFrom builds a matcher over model that INHERITS prev's
 // temporary overlay (prev may be nil). This is the model-swap path: the
-// overlay object — including its ID counter — is shared, then pruned of
-// templates the new model absorbed, so a Match racing the swap on the
-// old matcher still registers a temporary the new matcher resolves, and
-// every stored temporary ID keeps resolving through NodeByID/TemplateAt.
+// overlay object is shared, then pruned of templates the new model
+// absorbed, so a Match racing the swap on the old matcher still
+// registers a temporary the new matcher resolves, and every stored
+// temporary ID keeps resolving through NodeByID/TemplateAt.
 func (p *Parser) NewMatcherFrom(model *Model, prev *Matcher) (*Matcher, error) {
 	if model == nil || model.Len() == 0 {
 		return nil, ErrEmptyModel
@@ -137,7 +155,7 @@ func (p *Parser) NewMatcherFrom(model *Model, prev *Matcher) (*Matcher, error) {
 		m.tmp = prev.tmp
 		m.tmp.pruneAbsorbed(model)
 	} else {
-		m.tmp = newTempOverlay(model.NextID)
+		m.tmp = newTempOverlay()
 	}
 	// Candidate order: saturation descending, then depth descending
 	// (more precise first among equals), then ID for determinism.
@@ -196,7 +214,7 @@ func (m *Matcher) MatchTokens(tokens []string) MatchResult {
 	if c := lookupIn(o.index, o.linear, tokens, linearMatch); c != nil {
 		return MatchResult{NodeID: c.node.ID, Template: c.text}
 	}
-	c = o.insertLocked(tokens)
+	c = o.insertLocked(tokens, m.model)
 	return MatchResult{NodeID: c.node.ID, Template: c.text, New: true}
 }
 
@@ -248,14 +266,20 @@ func lookupIn(index map[int]*lenBucket, linear []*indexed, tokens []string, line
 // exactly the paper's "insert it into the clustering tree as an
 // individual node". The next training cycle re-learns it properly
 // (TrainMerge drops temporaries and forwards their IDs). The trained
-// model is NOT touched; temporary IDs continue the model's ID space and
-// stay below the snapshotIDHeadroom band a concurrent training cycle
-// allocates from, so the two sides never mint the same ID.
-func (o *tempOverlay) insertLocked(tokens []string) *indexed {
+// model is NOT touched. An ID already held by the overlay, by model's
+// nodes or by its aliases is taken: a holder of this same template would
+// have matched before insertion, so any holder is a different template.
+func (o *tempOverlay) insertLocked(tokens []string, model *Model) *indexed {
 	tmpl := make([]string, len(tokens))
 	copy(tmpl, tokens)
+	id := temporaryID(tmpl, func(id uint64) bool {
+		_, inOverlay := o.byID[id]
+		_, inNodes := model.Nodes[id]
+		_, aliased := model.Aliases[id]
+		return inOverlay || inNodes || aliased
+	})
 	n := &Node{
-		ID:         o.nextID,
+		ID:         id,
 		Parent:     NoParent,
 		Template:   tmpl,
 		Saturation: 1,
@@ -263,7 +287,6 @@ func (o *tempOverlay) insertLocked(tokens []string) *indexed {
 		Weight:     1,
 		Temporary:  true,
 	}
-	o.nextID++
 	c := newIndexed(n, len(o.linear))
 	o.linear = append(o.linear, c)
 	o.byID[n.ID] = n
@@ -272,8 +295,7 @@ func (o *tempOverlay) insertLocked(tokens []string) *indexed {
 }
 
 // pruneAbsorbed drops overlay entries the new model now covers (as live
-// nodes or alias-forwarded temporaries) and lifts the ID counter past the
-// model's, keeping survivors resolvable and future IDs collision-free.
+// nodes or alias-forwarded temporaries), keeping survivors resolvable.
 func (o *tempOverlay) pruneAbsorbed(model *Model) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -290,9 +312,6 @@ func (o *tempOverlay) pruneAbsorbed(model *Model) {
 		insertBucket(o.index, c)
 	}
 	o.linear = kept
-	if model.NextID > o.nextID {
-		o.nextID = model.NextID
-	}
 }
 
 // NodeByID returns the node for id — trained or temporary, following
@@ -346,19 +365,14 @@ func (m *Matcher) Temporaries() []*Node {
 // temporary inserted so far — the "prev" input for the next TrainMerge
 // cycle, which drops the temporaries and forwards their IDs. Trained
 // nodes are shared by pointer (both sides treat them as read-only;
-// MergeModels clones before mutating).
-//
-// The returned NextID is lifted by snapshotIDHeadroom: node IDs the
-// training cycle allocates start that far above anything the overlay has
-// issued, while the overlay keeps issuing IDs below the band for logs
-// that arrive during training. Without the headroom a temporary inserted
-// after the snapshot could receive the same ID as a freshly trained
-// node, silently misattributing its records after the model swap.
+// MergeModels clones before mutating). Its NextID is the trained
+// model's: temporaries inserted while the cycle runs take IDs in their
+// own band, so they cannot meet the IDs the cycle allocates.
 func (m *Matcher) SnapshotModel() *Model {
 	m.tmp.mu.RLock()
 	defer m.tmp.mu.RUnlock()
 	out := NewModel()
-	out.NextID = m.tmp.nextID + snapshotIDHeadroom
+	out.NextID = m.model.NextID
 	for id, to := range m.model.Aliases {
 		out.Aliases[id] = to
 	}

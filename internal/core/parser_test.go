@@ -837,7 +837,10 @@ func TestTrainRawDedupPreservesAssignments(t *testing.T) {
 	}
 }
 
-func TestSnapshotHeadroomAndOverlayInheritance(t *testing.T) {
+// TestTemporaryIDBandAndOverlayInheritance: a temporary minted while a
+// training cycle runs keeps an ID the cycle cannot allocate, and the
+// swapped-in matcher inherits it.
+func TestTemporaryIDBandAndOverlayInheritance(t *testing.T) {
 	p := New(Options{Seed: 5})
 	res, err := p.Train(sampleLogs(100, 3))
 	if err != nil {
@@ -858,7 +861,7 @@ func TestSnapshotHeadroomAndOverlayInheritance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Headroom: IDs minted by the training cycle must not collide with
+	// ID band: IDs minted by the training cycle must not collide with
 	// the temporary minted concurrently.
 	if n, ok := res2.Model.Nodes[late.NodeID]; ok {
 		t.Fatalf("trained model reused concurrent temporary ID %d: %+v", late.NodeID, n)
@@ -892,6 +895,74 @@ func TestSnapshotHeadroomAndOverlayInheritance(t *testing.T) {
 	}
 	if _, err := m3.TemplateAt(late.NodeID, 0.7); err != nil {
 		t.Errorf("absorbed temporary ID stopped resolving: %v", err)
+	}
+}
+
+// TestTemporaryIDIsContentDerived: a temporary's ID is in the top band
+// and depends only on its tokens, so a fresh matcher over the same model
+// (a restart) derives the same ID for the same template and a different
+// one for a different template; trained IDs stay below the band.
+func TestTemporaryIDIsContentDerived(t *testing.T) {
+	p := New(Options{Seed: 5})
+	res, err := p.Train(sampleLogs(100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range res.Model.Nodes {
+		if id&tempIDBand != 0 {
+			t.Fatalf("trained ID %#x is in the temporary band", id)
+		}
+	}
+	const quota = "disk quota exceeded on volume alpha"
+	const logout = "user bob logged out of session"
+	first, err := p.NewMatcher(res.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := first.Match(quota)
+	second, err := p.NewMatcher(res.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := second.Match(logout)
+	c := second.Match(quota)
+	if !a.New || !b.New || !c.New {
+		t.Fatalf("expected three temporaries: %+v %+v %+v", a, b, c)
+	}
+	if a.NodeID&tempIDBand == 0 || b.NodeID&tempIDBand == 0 {
+		t.Fatalf("temporary IDs %#x, %#x lack the band bit", a.NodeID, b.NodeID)
+	}
+	if b.NodeID == a.NodeID {
+		t.Fatalf("a different template took the lost temporary's ID %#x", a.NodeID)
+	}
+	if c.NodeID != a.NodeID {
+		t.Fatalf("same template re-derived %#x after a restart, want %#x", c.NodeID, a.NodeID)
+	}
+}
+
+// TestTemporaryIDForcedCollision: when the derived ID is already taken
+// by another template, the ID moves to the next one in the band.
+func TestTemporaryIDForcedCollision(t *testing.T) {
+	tokens := []string{"disk", "quota", "exceeded", "on", "volume", "alpha"}
+	none := func(uint64) bool { return false }
+	first := temporaryID(tokens, none)
+	if first&tempIDBand == 0 {
+		t.Fatalf("ID %#x lacks the band bit", first)
+	}
+	taken := map[uint64]bool{first: true}
+	got := temporaryID(tokens, func(id uint64) bool { return taken[id] })
+	want := tempIDBand | (first + 1)
+	if got != want {
+		t.Fatalf("with the first candidate taken got %#x, want %#x", got, want)
+	}
+	taken[want] = true
+	if got := temporaryID(tokens, func(id uint64) bool { return taken[id] }); got != tempIDBand|(want+1) {
+		t.Fatalf("with two candidates taken got %#x, want %#x", got, tempIDBand|(want+1))
+	}
+	// Length prefixes keep token boundaries: ["ab","c"] and ["a","bc"]
+	// join to the same bytes but are different templates.
+	if temporaryID([]string{"ab", "c"}, none) == temporaryID([]string{"a", "bc"}, none) {
+		t.Fatal("token boundaries lost in the ID encoding")
 	}
 }
 

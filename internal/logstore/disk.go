@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,10 +13,39 @@ import (
 	"bytebrain/internal/fsx"
 )
 
-// DiskInternal persists model snapshots as numbered files in a directory.
-// Write indexes only ever grow — after pruning (SetRetention), the next
-// index continues from the highest ever written, never reusing a number,
-// so a checkpoint can never be silently overwritten by a later snapshot.
+// ErrNoSnapshot is returned by LatestSnapshot on an empty internal topic.
+var ErrNoSnapshot = errors.New("logstore: no model snapshot")
+
+// Retention bounds how many model snapshots the internal topic keeps.
+// The zero value retains everything (the historical behavior); with
+// Latest set, only the newest Latest snapshots survive each append, plus
+// — when CheckpointEvery > 0 — every CheckpointEvery-th snapshot by
+// write index as a sparse history of periodic checkpoints. Storage after
+// n training cycles is therefore O(Latest + n/CheckpointEvery) instead
+// of O(n).
+type Retention struct {
+	// Latest is how many of the newest snapshots to keep; 0 keeps all.
+	Latest int
+	// CheckpointEvery additionally keeps snapshots whose write index is
+	// a multiple of it; 0 keeps none beyond Latest.
+	CheckpointEvery int
+}
+
+// keep reports whether the snapshot at write index idx survives pruning
+// when nextIdx is the index the next snapshot will get.
+func (r Retention) keep(idx, nextIdx int) bool {
+	if r.Latest <= 0 || idx >= nextIdx-r.Latest {
+		return true
+	}
+	return r.CheckpointEvery > 0 && idx%r.CheckpointEvery == 0
+}
+
+// DiskInternal is the internal topic of §3: it persists model snapshots
+// as numbered files in a directory, so a topic recovers its model on
+// restart without an external database. Write indexes only ever grow —
+// after pruning (SetRetention), the next index continues from the
+// highest ever written, never reusing a number, so a checkpoint can
+// never be silently overwritten by a later snapshot.
 type DiskInternal struct {
 	dir    string
 	fs     fsx.FS
@@ -73,8 +103,8 @@ func OpenDiskInternalFS(fsys fsx.FS, dir string) (*DiskInternal, error) {
 	return in, nil
 }
 
-// SetRetention implements SnapshotStore: installs the policy and prunes
-// existing on-disk snapshots immediately.
+// SetRetention installs a pruning policy and prunes existing on-disk
+// snapshots immediately.
 func (in *DiskInternal) SetRetention(r Retention) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -153,11 +183,10 @@ func (in *DiskInternal) LatestSnapshot() ([]byte, error) {
 	return data, nil
 }
 
-// QuarantineLatest implements SnapshotStore: it retires the newest
-// snapshot (renaming the file to .bad on disk) so LatestSnapshot falls
-// back to the previous checkpoint — the recovery path for a snapshot
-// that no longer unmarshals. It reports ErrNoSnapshot when none is
-// retained.
+// QuarantineLatest retires the newest snapshot (renaming the file to .bad
+// on disk) so LatestSnapshot falls back to the previous checkpoint — the
+// recovery path for a snapshot that no longer unmarshals. It reports
+// ErrNoSnapshot when none is retained.
 func (in *DiskInternal) QuarantineLatest() error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -173,9 +202,11 @@ func (in *DiskInternal) QuarantineLatest() error {
 	return nil
 }
 
-// Snapshots returns the retained snapshot count.
-func (in *DiskInternal) Snapshots() int {
+// Snapshots returns how many snapshots are retained and how many were
+// ever written: retention and quarantine lower the first, never the
+// second.
+func (in *DiskInternal) Snapshots() (retained, written int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.idxs)
+	return len(in.idxs), in.next
 }

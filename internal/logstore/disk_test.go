@@ -26,8 +26,8 @@ func TestDiskInternalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in2.Snapshots() != 2 {
-		t.Fatalf("reopened Snapshots = %d", in2.Snapshots())
+	if retained, written := in2.Snapshots(); retained != 2 || written != 2 {
+		t.Fatalf("reopened Snapshots = %d retained, %d written", retained, written)
 	}
 	if err := in2.AppendSnapshot(ts(3), []byte("m3")); err != nil {
 		t.Fatal(err)

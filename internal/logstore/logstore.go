@@ -3,12 +3,11 @@
 // indexed, stored, and made available for analysis. Records carry the
 // template ID computed at ingestion (template IDs "must be computed along
 // with other traditional text indices before logs can be written to the
-// append-only log topic storage"), and an internal topic persists model
-// snapshots as ordinary records.
+// append-only log topic storage"), and an internal topic (DiskInternal)
+// persists model snapshots next to a persistent topic's records.
 package logstore
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -393,143 +392,4 @@ type TemplateGroup struct {
 	// Samples holds up to the requested number of example record
 	// offsets, ascending.
 	Samples []int64
-}
-
-// ErrNoSnapshot is returned by LatestSnapshot on an empty internal topic.
-var ErrNoSnapshot = errors.New("logstore: no model snapshot")
-
-// Retention bounds how many model snapshots the internal topic keeps.
-// The zero value retains everything (the historical behavior); with
-// Latest set, only the newest Latest snapshots survive each append, plus
-// — when CheckpointEvery > 0 — every CheckpointEvery-th snapshot by
-// write index as a sparse history of periodic checkpoints. Storage after
-// n training cycles is therefore O(Latest + n/CheckpointEvery) instead
-// of O(n).
-type Retention struct {
-	// Latest is how many of the newest snapshots to keep; 0 keeps all.
-	Latest int
-	// CheckpointEvery additionally keeps snapshots whose write index is
-	// a multiple of it; 0 keeps none beyond Latest.
-	CheckpointEvery int
-}
-
-// keep reports whether the snapshot at write index idx survives pruning
-// when nextIdx is the index the next snapshot will get.
-func (r Retention) keep(idx, nextIdx int) bool {
-	if r.Latest <= 0 || idx >= nextIdx-r.Latest {
-		return true
-	}
-	return r.CheckpointEvery > 0 && idx%r.CheckpointEvery == 0
-}
-
-// SnapshotStore persists model snapshots — the "internal topic" of §3.
-// Internal keeps them in memory; DiskInternal on disk.
-type SnapshotStore interface {
-	// AppendSnapshot stores one serialized model.
-	AppendSnapshot(ts time.Time, data []byte) error
-	// LatestSnapshot returns the newest snapshot bytes.
-	LatestSnapshot() ([]byte, error)
-	// Snapshots returns the retained snapshot count.
-	Snapshots() int
-	// SetRetention installs a pruning policy and applies it immediately.
-	SetRetention(r Retention)
-	// QuarantineLatest retires the newest snapshot so LatestSnapshot
-	// falls back to the previous checkpoint. Recovery calls it when the
-	// newest snapshot fails to unmarshal (a torn or corrupt checkpoint),
-	// so reopening never fails unrecoverably on bad snapshot bytes.
-	// Returns ErrNoSnapshot when none is retained.
-	QuarantineLatest() error
-}
-
-var (
-	_ SnapshotStore = (*Internal)(nil)
-	_ SnapshotStore = (*DiskInternal)(nil)
-)
-
-// Internal is the in-memory internal topic holding model snapshots (§3:
-// node metadata lives "in an internal topic", avoiding external
-// databases).
-type Internal struct {
-	mu        sync.RWMutex
-	snapshots [][]byte
-	idxs      []int // write index of each retained snapshot, ascending
-	next      int   // write index the next snapshot gets
-	retain    Retention
-}
-
-// NewInternal creates an empty internal topic.
-func NewInternal() *Internal { return &Internal{} }
-
-// SetRetention implements SnapshotStore.
-func (in *Internal) SetRetention(r Retention) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.retain = r
-	in.pruneLocked()
-}
-
-func (in *Internal) pruneLocked() {
-	kept := 0
-	for i, idx := range in.idxs {
-		if !in.retain.keep(idx, in.next) {
-			continue
-		}
-		in.snapshots[kept] = in.snapshots[i]
-		in.idxs[kept] = idx
-		kept++
-	}
-	for i := kept; i < len(in.snapshots); i++ {
-		in.snapshots[i] = nil
-	}
-	in.snapshots = in.snapshots[:kept]
-	in.idxs = in.idxs[:kept]
-}
-
-// AppendSnapshot implements SnapshotStore. The in-memory topic keeps no
-// timestamps.
-func (in *Internal) AppendSnapshot(_ time.Time, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.snapshots = append(in.snapshots, cp)
-	in.idxs = append(in.idxs, in.next)
-	in.next++
-	in.pruneLocked()
-	return nil
-}
-
-// LatestSnapshot implements SnapshotStore.
-func (in *Internal) LatestSnapshot() ([]byte, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if len(in.snapshots) == 0 {
-		return nil, ErrNoSnapshot
-	}
-	last := len(in.snapshots) - 1
-	cp := make([]byte, len(in.snapshots[last]))
-	copy(cp, in.snapshots[last])
-	return cp, nil
-}
-
-// QuarantineLatest implements SnapshotStore: it drops the newest
-// in-memory snapshot.
-func (in *Internal) QuarantineLatest() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if len(in.snapshots) == 0 {
-		return ErrNoSnapshot
-	}
-	last := len(in.snapshots) - 1
-	in.snapshots[last] = nil
-	in.snapshots = in.snapshots[:last]
-	in.idxs = in.idxs[:last]
-	return nil
-}
-
-// Snapshots implements SnapshotStore.
-func (in *Internal) Snapshots() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.snapshots)
 }

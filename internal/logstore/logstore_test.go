@@ -192,27 +192,3 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 		}
 	}
 }
-
-func TestInternalSnapshots(t *testing.T) {
-	in := NewInternal()
-	if _, err := in.LatestSnapshot(); err != ErrNoSnapshot {
-		t.Fatalf("LatestSnapshot on empty = %v", err)
-	}
-	_ = in.AppendSnapshot(ts(1), []byte("v1"))
-	_ = in.AppendSnapshot(ts(2), []byte("v2"))
-	data, err := in.LatestSnapshot()
-	if err != nil || string(data) != "v2" {
-		t.Fatalf("LatestSnapshot = %q %v", data, err)
-	}
-	if in.Snapshots() != 2 {
-		t.Errorf("Snapshots = %d", in.Snapshots())
-	}
-	// Stored bytes are isolated from caller mutation.
-	buf := []byte("v3")
-	_ = in.AppendSnapshot(ts(3), buf)
-	buf[0] = 'X'
-	data, _ = in.LatestSnapshot()
-	if string(data) != "v3" {
-		t.Errorf("snapshot aliased caller buffer: %q", data)
-	}
-}

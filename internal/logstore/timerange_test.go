@@ -341,48 +341,40 @@ func TestCompactingTimeRangeStress(t *testing.T) {
 
 // TestSnapshotRetentionBoundsStorage: with Latest=K and no checkpoints,
 // the internal topic retains exactly K snapshots no matter how many
-// training cycles append; the newest is always served.
+// training cycles append; the newest is always served, and the written
+// count keeps every cycle.
 func TestSnapshotRetentionBoundsStorage(t *testing.T) {
-	for _, disk := range []bool{false, true} {
-		name := "memory"
-		if disk {
-			name = "disk"
+	t.Run("disk", func(t *testing.T) {
+		in, err := OpenDiskInternal(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			var in SnapshotStore
-			if disk {
-				d, err := OpenDiskInternal(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				in = d
-			} else {
-				in = NewInternal()
+		in.SetRetention(Retention{Latest: 3})
+		for i := 0; i < 100; i++ {
+			if err := in.AppendSnapshot(ts(i), []byte(fmt.Sprintf("model-%d", i))); err != nil {
+				t.Fatal(err)
 			}
-			in.SetRetention(Retention{Latest: 3})
-			for i := 0; i < 100; i++ {
-				if err := in.AppendSnapshot(ts(i), []byte(fmt.Sprintf("model-%d", i))); err != nil {
-					t.Fatal(err)
-				}
-				if got := in.Snapshots(); got > 3 {
-					t.Fatalf("after %d appends: %d snapshots retained, want <= 3", i+1, got)
-				}
+			if got, _ := in.Snapshots(); got > 3 {
+				t.Fatalf("after %d appends: %d snapshots retained, want <= 3", i+1, got)
 			}
-			if got := in.Snapshots(); got != 3 {
-				t.Fatalf("retained %d, want 3", got)
-			}
-			data, err := in.LatestSnapshot()
-			if err != nil || string(data) != "model-99" {
-				t.Fatalf("LatestSnapshot = %q, %v", data, err)
-			}
-		})
-	}
+		}
+		if retained, written := in.Snapshots(); retained != 3 || written != 100 {
+			t.Fatalf("retained %d, written %d; want 3, 100", retained, written)
+		}
+		data, err := in.LatestSnapshot()
+		if err != nil || string(data) != "model-99" {
+			t.Fatalf("LatestSnapshot = %q, %v", data, err)
+		}
+	})
 }
 
 // TestSnapshotRetentionCheckpoints: periodic checkpoints survive pruning,
 // so storage after n cycles is O(K + n/CheckpointEvery), not O(n).
 func TestSnapshotRetentionCheckpoints(t *testing.T) {
-	in := NewInternal()
+	in, err := OpenDiskInternal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	in.SetRetention(Retention{Latest: 2, CheckpointEvery: 10})
 	for i := 0; i < 50; i++ {
 		if err := in.AppendSnapshot(ts(i), []byte(fmt.Sprintf("m%d", i))); err != nil {
@@ -390,7 +382,7 @@ func TestSnapshotRetentionCheckpoints(t *testing.T) {
 		}
 	}
 	// Kept: checkpoints 0,10,20,30,40 plus latest 48,49.
-	if got := in.Snapshots(); got != 7 {
+	if got, _ := in.Snapshots(); got != 7 {
 		t.Fatalf("retained %d, want 7", got)
 	}
 	data, _ := in.LatestSnapshot()
@@ -416,7 +408,7 @@ func TestDiskInternalPruneThenReopen(t *testing.T) {
 		}
 	}
 	// Kept on disk: checkpoints 0,5,10 plus latest 10,11 -> {0,5,10,11}.
-	if got := in.Snapshots(); got != 4 {
+	if got, _ := in.Snapshots(); got != 4 {
 		t.Fatalf("retained %d, want 4", got)
 	}
 	// Reopen without retention: sees the 4 survivors, and the next write
@@ -425,8 +417,8 @@ func TestDiskInternalPruneThenReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := in2.Snapshots(); got != 4 {
-		t.Fatalf("reopened sees %d, want 4", got)
+	if retained, written := in2.Snapshots(); retained != 4 || written != 12 {
+		t.Fatalf("reopened sees %d retained, %d written; want 4, 12", retained, written)
 	}
 	if data, err := in2.LatestSnapshot(); err != nil || string(data) != "m11" {
 		t.Fatalf("reopened latest = %q, %v", data, err)

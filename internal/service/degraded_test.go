@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bytebrain/internal/fsx"
+	"bytebrain/internal/logstore"
 	"bytebrain/internal/netingest"
 )
 
@@ -25,11 +26,13 @@ func newDegradedFixture(t *testing.T) (*Service, *fsx.FaultFS) {
 	cfg.SegmentBytes = 4096
 	cfg.WALFsyncEveryBatches = 1
 	cfg.FS = fsys
-	cfg.SealRetryBase = time.Millisecond
-	cfg.SealRetryMax = 2 * time.Millisecond
-	cfg.SealMaxRetries = 1
-	cfg.ProbeInterval = 10 * time.Millisecond
 	s := New(cfg)
+	s.storeOpts = logstore.StoreOptions{
+		SealRetryBase:  time.Millisecond,
+		SealRetryMax:   2 * time.Millisecond,
+		SealMaxRetries: 1,
+		ProbeInterval:  10 * time.Millisecond,
+	}
 	t.Cleanup(func() { s.Close() })
 	if err := s.CreateTopic("app"); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"bytebrain/internal/fsx"
 )
 
 func TestServicePersistenceAcrossRestart(t *testing.T) {
@@ -242,4 +245,193 @@ func TestServiceRejectsPathTraversalTopicNames(t *testing.T) {
 func fileExists(p string) bool {
 	_, err := os.Stat(p)
 	return err == nil
+}
+
+// TestTrainingsSurviveRetention: Trainings counts cycles, not retained
+// snapshots, so a reopen under SnapshotRetain reports every cycle that
+// ran while Snapshots reports the files kept.
+func TestTrainingsSurviveRetention(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	cfg.TrainVolume = 1 << 30
+	cfg.SnapshotRetain = 2
+	s1 := New(cfg)
+	if err := s1.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := s1.Ingest("app", genLines(50, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.Train("app"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(cfg)
+	defer s2.Close()
+	if err := s2.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s2.TopicStats("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Trainings != 6 || stats.Snapshots != 2 {
+		t.Fatalf("after reopen: Trainings %d, Snapshots %d; want 6, 2", stats.Trainings, stats.Snapshots)
+	}
+}
+
+// TestInMemoryTopicKeepsOnlyLiveModel: without DataDir nothing can read
+// a snapshot back, so a topic keeps no snapshot store, however many
+// cycles run; its published model is the only copy.
+func TestInMemoryTopicKeepsOnlyLiveModel(t *testing.T) {
+	cfg := testConfig()
+	cfg.TrainVolume = 1 << 30
+	s := New(cfg)
+	defer s.Close()
+	if err := s.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Ingest("app", genLines(50, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Train("app"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := s.topic("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.internal != nil {
+		t.Fatal("in-memory topic holds a snapshot store")
+	}
+	stats, err := s.TopicStats("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := st.snap.Load().model.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Trainings != 4 || stats.Snapshots != 0 || stats.ModelBytes != len(live) {
+		t.Fatalf("Trainings %d, Snapshots %d, ModelBytes %d; want 4, 0, %d",
+			stats.Trainings, stats.Snapshots, stats.ModelBytes, len(live))
+	}
+}
+
+const (
+	quotaLine  = "disk quota exceeded on volume alpha"
+	logoutLine = "user bob logged out of session"
+)
+
+// rowBy returns the query row that satisfies match, failing if none does.
+func rowBy(t *testing.T, rows []TemplateRow, what string, match func(TemplateRow) bool) TemplateRow {
+	t.Helper()
+	for _, r := range rows {
+		if match(r) {
+			return r
+		}
+	}
+	t.Fatalf("no row for %s in %+v", what, rows)
+	return TemplateRow{}
+}
+
+// checkTemporaryIDAcrossRestart drives the restart scenario for a stored
+// temporary template ID. Life one trains, then stores quotaLine under a
+// temporary that lives only in the matcher's overlay; stop ends it (a
+// clean Close or a power cut). Life two must not give that ID to a
+// different template: logoutLine gets its own row, the lost temporary's
+// record reads as unresolved, and quotaLine, ingested again, comes back
+// under the same ID.
+func checkTemporaryIDAcrossRestart(t *testing.T, cfg Config, stop func(*Service)) {
+	t.Helper()
+	s1 := New(cfg)
+	if err := s1.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Ingest("app", genLines(300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Train("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Ingest("app", []string{quotaLine}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s1.Query("app", 0.7, TimeRange{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quota := rowBy(t, rows, "the quota line", func(r TemplateRow) bool { return r.Template == quotaLine })
+	stop(s1)
+
+	s2 := New(cfg)
+	defer s2.Close()
+	if err := s2.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Ingest("app", []string{logoutLine}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = s2.Query("app", 0.7, TimeRange{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := rowBy(t, rows, "the lost temporary's ID", func(r TemplateRow) bool { return r.TemplateID == quota.TemplateID })
+	if lost.Template != "(unresolved template id)" || lost.Count != 1 {
+		t.Fatalf("lost temporary's row = %+v, want one unresolved record", lost)
+	}
+	logout := rowBy(t, rows, "the logout line", func(r TemplateRow) bool { return r.Template == logoutLine })
+	if logout.TemplateID == quota.TemplateID || logout.Count != 1 {
+		t.Fatalf("logout row = %+v shares the lost temporary's ID %d", logout, quota.TemplateID)
+	}
+
+	if err := s2.Ingest("app", []string{quotaLine}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = s2.Query("app", 0.7, TimeRange{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := rowBy(t, rows, "the quota line's ID", func(r TemplateRow) bool { return r.TemplateID == quota.TemplateID })
+	if back.Template != quotaLine || back.Count != 2 {
+		t.Fatalf("re-ingested quota row = %+v, want %q with both records", back, quotaLine)
+	}
+}
+
+func TestTemporaryIDAcrossRestart(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	cfg.TrainVolume = 1 << 30
+	checkTemporaryIDAcrossRestart(t, cfg, func(s *Service) {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTemporaryIDAcrossPowerCut: the same contract when life one ends in
+// a power cut. Each batch's WAL write is fsynced before Ingest returns,
+// so the quota record survives; the overlay does not.
+func TestTemporaryIDAcrossPowerCut(t *testing.T) {
+	fsys := fsx.NewFaultFS()
+	cfg := testConfig()
+	cfg.DataDir = "/data"
+	cfg.FS = fsys
+	cfg.WALFsyncEveryBatches = 1
+	cfg.TrainVolume = 1 << 30
+	checkTemporaryIDAcrossRestart(t, cfg, func(s *Service) {
+		fsys.CrashAt(fsys.Ops() + 1)
+		if _, err := fsys.Stat("/data"); !errors.Is(err, fsx.ErrPowerCut) {
+			t.Fatalf("power cut did not fire: %v", err)
+		}
+		s.Close() // every write fails: the machine is off
+		fsys.SetHook(nil)
+		fsys.Restart()
+	})
 }

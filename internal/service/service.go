@@ -68,9 +68,10 @@ type Config struct {
 	// SegmentCodec selects the sealed-payload compression: "flate"
 	// (default) or "none".
 	SegmentCodec string
-	// SnapshotRetain > 0 bounds the internal topic: only the newest
-	// SnapshotRetain model snapshots are kept per topic (plus periodic
-	// checkpoints, see SnapshotCheckpointEvery). 0 keeps every snapshot.
+	// SnapshotRetain > 0 bounds the internal topic under DataDir: only
+	// the newest SnapshotRetain model snapshots are kept per topic (plus
+	// periodic checkpoints, see SnapshotCheckpointEvery). 0 keeps every
+	// snapshot. Without DataDir a topic keeps only its live model.
 	SnapshotRetain int
 	// SnapshotCheckpointEvery > 0 additionally retains every Nth
 	// snapshot as a checkpoint when SnapshotRetain prunes, preserving a
@@ -97,14 +98,6 @@ type Config struct {
 	// means the real filesystem. Fault-injection tests swap in an
 	// fsx.FaultFS to script ENOSPC and crash images end to end.
 	FS fsx.FS
-	// SealRetryBase / SealRetryMax / SealMaxRetries / ProbeInterval tune
-	// the segment store's seal-failure retry and degraded-mode recovery
-	// policy (see logstore.StoreOptions); zero values take the store
-	// defaults (50ms base, 2s cap, 4 retries, 2s probe).
-	SealRetryBase  time.Duration
-	SealRetryMax   time.Duration
-	SealMaxRetries int
-	ProbeInterval  time.Duration
 	// Now supplies timestamps; tests override it. Defaults to time.Now.
 	Now func() time.Time
 }
@@ -154,6 +147,11 @@ type Service struct {
 	// trainHook, when set by tests, runs inside every training cycle
 	// after the reservoir hand-off — while ingestion must stay live.
 	trainHook func(topic string)
+
+	// storeOpts, when set by tests, carries the seal-retry and probe
+	// timing of every topic store; openTopicStore fills in the rest.
+	// Zero fields take the logstore.StoreOptions defaults.
+	storeOpts logstore.StoreOptions
 
 	// Streaming TCP ingest listeners started via StartNetIngest; closed
 	// ahead of the stores in Close. netClosed is the service's closed
@@ -272,8 +270,8 @@ type topicState struct {
 	name     string
 	parser   *core.Parser
 	store    logstore.Store
-	internal logstore.SnapshotStore
-	met      *topicMetrics // resolved once at create; never nil
+	internal *logstore.DiskInternal // model snapshots; nil without DataDir
+	met      *topicMetrics          // resolved once at create; never nil
 	cacheCap int64
 
 	// snap is nil until the first training completes. Matching and
@@ -358,27 +356,25 @@ func (s *Service) CreateTopic(name string) error {
 		return err
 	}
 	st.store = store
-	if s.cfg.DataDir == "" {
-		st.internal = logstore.NewInternal()
-	} else {
+	if s.cfg.DataDir != "" {
 		internal, err := logstore.OpenDiskInternalFS(s.cfg.FS, filepath.Join(s.cfg.DataDir, name, "models"))
 		if err != nil {
 			store.Close()
 			return err
 		}
+		if s.cfg.SnapshotRetain > 0 {
+			// Bound the internal topic: keep the newest K snapshots plus
+			// periodic checkpoints instead of every training cycle's model.
+			internal.SetRetention(logstore.Retention{
+				Latest:          s.cfg.SnapshotRetain,
+				CheckpointEvery: s.cfg.SnapshotCheckpointEvery,
+			})
+		}
 		st.internal = internal
-	}
-	if s.cfg.SnapshotRetain > 0 {
-		// Bound the internal topic: keep the newest K snapshots plus
-		// periodic checkpoints instead of every training cycle's model.
-		st.internal.SetRetention(logstore.Retention{
-			Latest:          s.cfg.SnapshotRetain,
-			CheckpointEvery: s.cfg.SnapshotCheckpointEvery,
-		})
-	}
-	if err := st.recover(); err != nil {
-		store.Close()
-		return err
+		if err := st.recover(); err != nil {
+			store.Close()
+			return err
+		}
 	}
 	st.wg.Add(1)
 	go s.trainLoop(st)
@@ -398,16 +394,11 @@ func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.St
 	if err != nil {
 		return nil, fmt.Errorf("service: topic %q: %w", name, err)
 	}
-	opts := logstore.StoreOptions{
-		Metrics:           lm,
-		FsyncEveryBatches: s.cfg.WALFsyncEveryBatches,
-		FsyncInterval:     s.cfg.WALFsyncInterval,
-		FS:                s.cfg.FS,
-		SealRetryBase:     s.cfg.SealRetryBase,
-		SealRetryMax:      s.cfg.SealRetryMax,
-		SealMaxRetries:    s.cfg.SealMaxRetries,
-		ProbeInterval:     s.cfg.ProbeInterval,
-	}
+	opts := s.storeOpts
+	opts.Metrics = lm
+	opts.FsyncEveryBatches = s.cfg.WALFsyncEveryBatches
+	opts.FsyncInterval = s.cfg.WALFsyncInterval
+	opts.FS = s.cfg.FS
 	return logstore.OpenCompacting(name, logstore.CompactConfig{
 		Dir:          dir,
 		SegmentBytes: s.cfg.SegmentBytes,
@@ -449,7 +440,10 @@ func (st *topicState) recover() error {
 			continue
 		}
 		st.snap.Store(st.newSnapshot(model, matcher, data))
-		st.trainings.Store(int64(st.internal.Snapshots()))
+		// Every cycle wrote one snapshot; retention and quarantine
+		// remove files but not cycles.
+		_, written := st.internal.Snapshots()
+		st.trainings.Store(int64(written))
 		return nil
 	}
 }
@@ -705,10 +699,12 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 		Records:     st.store.Len(),
 		Bytes:       st.store.Bytes(),
 		Trainings:   int(st.trainings.Load()),
-		Snapshots:   st.internal.Snapshots(),
 		Training:    st.training.Load(),
 		SinceTrain:  int(st.sinceLast.Load()),
 		LastTrainAt: time.Unix(0, st.lastTrain.Load()),
+	}
+	if st.internal != nil {
+		stats.Snapshots, _ = st.internal.Snapshots()
 	}
 	st.resMu.Lock()
 	stats.ReservoirLines = len(st.buffer)

@@ -104,7 +104,8 @@ func TestVolumeTriggeredTraining(t *testing.T) {
 	if stats.Trainings != 1 {
 		t.Fatalf("training did not fire at volume threshold: %+v", stats)
 	}
-	if stats.Templates == 0 || stats.ModelBytes == 0 || stats.Snapshots != 1 {
+	// Without DataDir the topic keeps only its live model: no snapshots.
+	if stats.Templates == 0 || stats.ModelBytes == 0 || stats.Snapshots != 0 {
 		t.Errorf("post-training stats incomplete: %+v", stats)
 	}
 	if stats.SinceTrain != 0 || stats.LastTrainError != "" {

@@ -76,10 +76,10 @@ func (s *Service) trainOnce(st *topicState) error {
 
 // trainCycle runs one training cycle: steal the reservoir, train + merge
 // against a snapshot of the current model (temporaries included), build
-// the new matcher, persist the snapshot, and atomically publish. The only
-// locks it ever holds are trainMu (cycle serialization — never taken by
-// Ingest) and resMu for the microseconds of the buffer swap, so ingestion
-// proceeds at full speed throughout.
+// the new matcher, persist the snapshot (under DataDir), and atomically
+// publish. The only locks it ever holds are trainMu (cycle serialization
+// — never taken by Ingest) and resMu for the microseconds of the buffer
+// swap, so ingestion proceeds at full speed throughout.
 func (s *Service) trainCycle(st *topicState) error {
 	st.trainMu.Lock()
 	defer st.trainMu.Unlock()
@@ -103,9 +103,7 @@ func (s *Service) trainCycle(st *topicState) error {
 
 	// Heavy lifting, entirely outside any lock Ingest touches. The prev
 	// model snapshot folds in the matcher's temporary templates so the
-	// merge can drop them and forward their IDs; its NextID carries ID
-	// headroom so temporaries minted by concurrent ingestion while this
-	// cycle runs cannot collide with freshly trained node IDs.
+	// merge can drop them and forward their IDs.
 	var prev *core.Model
 	var prevMatcher *core.Matcher
 	if snap := st.snap.Load(); snap != nil {
@@ -126,9 +124,11 @@ func (s *Service) trainCycle(st *topicState) error {
 		st.restoreReservoir(lines)
 		return fmt.Errorf("service: snapshot %s: %w", st.name, err)
 	}
-	if err := st.internal.AppendSnapshot(now, data); err != nil {
-		st.restoreReservoir(lines)
-		return fmt.Errorf("service: snapshot %s: %w", st.name, err)
+	if st.internal != nil {
+		if err := st.internal.AppendSnapshot(now, data); err != nil {
+			st.restoreReservoir(lines)
+			return fmt.Errorf("service: snapshot %s: %w", st.name, err)
+		}
 	}
 	// The new matcher inherits the previous overlay: temporaries
 	// inserted after the snapshot (mid-training arrivals) survive the
